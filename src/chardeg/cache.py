@@ -33,6 +33,8 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
         spec = spectrum_from_doc(entry["spectrum"])
         if spec.group != group.upper() or spec.n != n:
             return None
+        if not all(c.complete for c in spec.classes[:2]):
+            return None  # the checks read the members of the top two classes
         return spec
     except (OSError, ValueError, KeyError, TypeError):
         return None

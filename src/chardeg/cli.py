@@ -16,7 +16,7 @@ from .graph import (
     near_max_count_check_all,
     ratio_lemma_check,
 )
-from .hooks import degrees_an, hook_product, up_dn_ratio
+from .hooks import degree_sn, degrees_an, hook_product, up_dn_ratio
 from .partitions import (
     PartitionFormatError,
     format_partition,
@@ -103,12 +103,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _degree_sn(parts) -> int:
-    from math import factorial
-
-    return factorial(sum(parts)) // hook_product(parts)
-
-
 def _get_spectrum(cfg: RunConfig, group: str, n: int):
     if n > cfg.max_n:
         raise UsageError(f"n={n} exceeds the resource guard --max-n {cfg.max_n}")
@@ -124,10 +118,10 @@ def _get_spectrum(cfg: RunConfig, group: str, n: int):
 
 
 def cmd_degree(cfg: RunConfig, text: str) -> int:
-    parts = parse_partition(text)
+    parts = parse_partition(text, max_n=cfg.max_n)
     n = sum(parts)
     h = hook_product(parts)
-    deg = _degree_sn(parts)
+    deg = degree_sn(parts)
     entry = degrees_an(parts)[0]
     up, dn = lambda_up(parts), lambda_dn(parts)
     ratio = up_dn_ratio(parts)
@@ -165,10 +159,10 @@ def cmd_degree(cfg: RunConfig, text: str) -> int:
 
 
 def cmd_branch(cfg: RunConfig, text: str) -> int:
-    parts = parse_partition(text)
+    parts = parse_partition(text, max_n=cfg.max_n)
     decomp = branch_decompose(parts)
     n = sum(parts)
-    degs = [_degree_sn(c) for c in decomp.constituents]
+    degs = [degree_sn(c) for c in decomp.constituents]
     if cfg.fmt == "json":
         doc = {
             "schema": 1,
@@ -183,7 +177,7 @@ def cmd_branch(cfg: RunConfig, text: str) -> int:
         }
         print(json_text(doc), end="")
         return 0
-    src_deg = _degree_sn(parts)
+    src_deg = degree_sn(parts)
     print(f"source: {format_partition(parts)}  (degree {src_deg})")
     print(f"n: {n}")
     print(f"self multiplicity: {decomp.self_multiplicity}")
@@ -265,21 +259,27 @@ def cmd_verify(cfg: RunConfig) -> int:
     requested = cfg.checks or ("all",)
     if "all" in requested:
         requested = CHECK_NAMES
-    reports = []
+    lows = []
     for name in requested:
         lo = _CHECK_DOMAIN_LO[name]
         if cfg.override_domain and name in ("theorem1", "theorem2"):
             lo = 2
-        effective = [n for n in ns if n >= lo]
-        if not effective:
+        if ns[-1] < lo:
             print(
                 f"error: check {name!r} is stated for n >= {lo}; "
                 f"requested range lies outside its domain",
                 file=sys.stderr,
             )
             return 2
-        for n in effective:
-            reports.extend(_run_check(name, n, cfg))
+        lows.append(lo)
+    # Evaluate n-major, so each n's degree table is built once and dropped
+    # before the next n; report check-major, one check's range at a time.
+    per_check: list[list] = [[] for _ in requested]
+    for n in ns:
+        for name, lo, out in zip(requested, lows, per_check):
+            if n >= lo:
+                out.extend(_run_check(name, n, cfg))
+    reports = [r for out in per_check for r in out]
     if cfg.fmt == "json":
         doc = {"schema": 1, "reports": [report_to_doc(r) for r in reports]}
         print(json_text(doc), end="")

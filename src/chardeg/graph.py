@@ -14,9 +14,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from heapq import nlargest
 
-from .hooks import hook_product
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -25,7 +24,7 @@ from .partitions import (
     lambda_up,
 )
 from .report import FAIL, PASS, Inequality, VerificationReport
-from .spectrum import cached_spectrum
+from .spectrum import cached_spectrum, degree_table
 
 PathComponent = tuple[Partition, ...]
 
@@ -112,13 +111,13 @@ def graph_structure_check(n: int) -> VerificationReport:
 def component_class_check(n: int) -> VerificationReport:
     """No component meets any fixed-degree class in more than two vertices."""
     t0 = time.perf_counter()
-    fact = factorial(n)
+    table = degree_table(n)
     worst = 0
     witness: tuple = ()
     for comp in build_graph(n).components:
         counts: dict[int, int] = {}
         for v in comp:
-            d = fact // hook_product(v)
+            d = table[v]
             c = counts.get(d, 0) + 1
             counts[d] = c
             if c > worst:
@@ -135,27 +134,27 @@ def component_class_check(n: int) -> VerificationReport:
     )
 
 
-def _component_hook_products(comp: PathComponent) -> list[int]:
-    return [hook_product(v) for v in comp]
-
-
 def local_extrema_check(n: int) -> VerificationReport:
     """No interior strict local maximum of the hook product along any path,
     and no constant stretch of three or more vertices.  Adjacent ties are
-    legitimate (conjugate pairs meet mid-path) and only reported."""
+    legitimate (conjugate pairs meet mid-path) and only reported.
+
+    The hook product is n! over the degree, so its local maxima are the
+    degree's local minima."""
     t0 = time.perf_counter()
+    table = degree_table(n)
     violations: list[str] = []
     ties = 0
     tie_samples: list[str] = []
     for comp in build_graph(n).components:
-        hs = _component_hook_products(comp)
-        for i in range(1, len(hs) - 1):
-            if hs[i - 1] < hs[i] > hs[i + 1]:
+        ds = [table[v] for v in comp]
+        for i in range(1, len(ds) - 1):
+            if ds[i - 1] > ds[i] < ds[i + 1]:
                 violations.append(f"strict local maximum at {format_partition(comp[i])}")
-            if hs[i - 1] == hs[i] == hs[i + 1]:
+            if ds[i - 1] == ds[i] == ds[i + 1]:
                 violations.append(f"constant stretch at {format_partition(comp[i])}")
-        for i in range(len(hs) - 1):
-            if hs[i] == hs[i + 1]:
+        for i in range(len(ds) - 1):
+            if ds[i] == ds[i + 1]:
                 ties += 1
                 if len(tie_samples) < 5:
                     tie_samples.append(
@@ -178,17 +177,23 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     For n = 3 the single interior vertex attains exactly 4 because both
     hook-ratio products in the bound are empty; that documented boundary is
     reported, not failed.
+
+    With H = n!/d the ratio is d^2 / (d(up) d(dn)), so the bounds are
+    compared on degrees in integers; a Fraction is made only for a
+    violation.
     """
     t0 = time.perf_counter()
+    table = degree_table(n)
     violations: list[tuple[Partition, Fraction]] = []
     interior = 0
     for comp in build_graph(n).components:
-        hs = _component_hook_products(comp)
-        for i in range(1, len(hs) - 1):
+        ds = [table[v] for v in comp]
+        for i in range(1, len(ds) - 1):
             interior += 1
-            ratio = Fraction(hs[i - 1] * hs[i + 1], hs[i] * hs[i])
-            if not Fraction(1) < ratio < Fraction(4):
-                violations.append((comp[i], ratio))
+            square = ds[i] * ds[i]
+            neighbors_product = ds[i - 1] * ds[i + 1]
+            if not neighbors_product < square < 4 * neighbors_product:
+                violations.append((comp[i], Fraction(square, neighbors_product)))
     boundary = n == 3 and violations == [((2, 1), Fraction(4))]
     ineq = Inequality(
         "ratio-violations", len(violations) - (1 if boundary else 0), "==", 0
@@ -233,16 +238,13 @@ def _class_counts(n: int):
         prefix[i + 1] = prefix[i] + sizes[i]
     total = prefix[m]
 
-    low_counts = [0] * m
-    low_samples: list[list[Partition]] = [[] for _ in range(m)]
-    fact = factorial(n)
-    for lam in enumerate_partitions(n):
-        if lambda_up(lam) is not None and lambda_dn(lam) is not None:
-            continue
-        i = index_of[fact // hook_product(lam)]
-        low_counts[i] += 1
-        if len(low_samples[i]) < 3:
-            low_samples[i].append(lam)
+    low_members: list[list[Partition]] = [[] for _ in range(m)]
+    for lam, d in degree_table(n).items():
+        if lambda_up(lam) is None or lambda_dn(lam) is None:
+            low_members[index_of[d]].append(lam)
+    low_counts = [len(members) for members in low_members]
+    # the first three in enumeration order, which is descending
+    low_samples = [tuple(nlargest(3, members)) for members in low_members]
 
     # in_range[r] = characters with degree strictly between b_r/4 and b_r
     in_range = [0] * m
@@ -255,7 +257,7 @@ def _class_counts(n: int):
             t += 1
         at_most_quarter = total - prefix[t]
         in_range[r] = below - at_most_quarter
-    return degrees, sizes, prefix, low_counts, in_range, [tuple(s) for s in low_samples]
+    return degrees, sizes, prefix, low_counts, in_range, low_samples
 
 
 def low_degree_count_check(n: int, r: int) -> VerificationReport:

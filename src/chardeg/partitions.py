@@ -42,13 +42,15 @@ def format_partition(parts: Partition) -> str:
     return ",".join(str(p) for p in parts)
 
 
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str, max_n: int | None = None) -> Partition:
     """Parse '4,2,1' or exponent shorthand '2^3,1' into a partition tuple.
 
     Parts must already be in weakly decreasing order; out-of-order input is
-    rejected rather than sorted.
+    rejected rather than sorted.  With ``max_n`` set, text whose parts sum
+    past it is rejected before any exponent token is expanded.
     """
     parts: list[int] = []
+    total = 0
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -61,15 +63,17 @@ def parse_partition(text: str) -> Partition:
                 raise PartitionFormatError(f"malformed exponent token {token!r}") from None
             if exp < 1:
                 raise PartitionFormatError(f"exponent must be positive in {token!r}")
-            parts.extend([base] * exp)
         else:
             try:
-                parts.append(int(token))
+                base, exp = int(token), 1
             except ValueError:
                 raise PartitionFormatError(f"malformed part {token!r}") from None
-    for p in parts:
-        if p < 1:
-            raise PartitionFormatError(f"parts must be positive, got {p} in {text!r}")
+        if base < 1:
+            raise PartitionFormatError(f"parts must be positive, got {base} in {text!r}")
+        total += base * exp
+        if max_n is not None and total > max_n:
+            raise PartitionFormatError(f"n >= {total} in {text!r} exceeds the limit {max_n}")
+        parts.extend([base] * exp)
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise PartitionFormatError(f"parts not weakly decreasing in {text!r}")

@@ -4,7 +4,8 @@ A report stores the exact decisive inequalities, so its verdict can always
 be re-derived from the stored values alone.  Statuses:
 
 - pass / fail: the check is required and its recorded inequalities all hold
-  or do not;
+  or do not; a verdict with no recorded inequality is refused at
+  construction;
 - informational: outcome recorded, never fails a run (e.g. a check forced
   outside its stated domain);
 - inconclusive: a neighborhood-only method missed although the full-spectrum
@@ -57,6 +58,10 @@ class VerificationReport:
     witnesses: tuple = ()
     notes: tuple[str, ...] = ()
     elapsed: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.status in (PASS, FAIL) and not self.inequalities:
+            raise ValueError(f"{self.check} n={self.n}: {self.status} records no inequality")
 
     @property
     def passed(self) -> bool:

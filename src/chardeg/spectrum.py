@@ -11,6 +11,7 @@ always sound.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ DEFAULT_MAX_N = 60
 MEMBER_CAP = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeClass:
     """One distinct degree with the partitions that realize it.
 
@@ -111,131 +112,140 @@ def _check_mass(spec: DegreeSpectrum) -> DegreeSpectrum:
     return spec
 
 
-def _shard_partitions(n: int, first_part: int):
-    for rest in enumerate_partitions(n - first_part, max_part=first_part):
-        yield (first_part,) + rest
+def _shard_partitions(n: int, first_parts):
+    for first_part in first_parts:
+        for rest in enumerate_partitions(n - first_part, max_part=first_part):
+            yield (first_part,) + rest
 
 
-def _sn_shard(args: tuple[int, int, bool]) -> dict:
-    """Degrees over all partitions of n with the given largest part.
+class _Classes:
+    """Characters per degree for one group, with the members of every degree
+    or only of the two largest degrees added so far.
 
-    Returns degree -> [count, members]; members are kept for every degree
-    when store_members is set, otherwise only for the shard's top degree.
+    A member is a partition, or for the alternating group a
+    (representative, characters) pair.  A degree that drops out of the top
+    two loses its members at once.
     """
-    n, first_part, store_members = args
-    fact = factorial(n)
-    out: dict[int, list] = {}
-    top = -1
-    for lam in _shard_partitions(n, first_part):
-        d, rem = divmod(fact, hook_product(lam))
-        if rem:
-            raise ArithmeticError(f"hook product does not divide {n}! for {lam}")
-        entry = out.get(d)
-        if entry is None:
-            entry = [0, []]
-            out[d] = entry
-        entry[0] += 1
-        if store_members:
-            entry[1].append(lam)
-        elif d >= top:
-            if d > top:
-                top = d
-                out[d][1] = []
-            out[d][1].append(lam)
-    if not store_members:
-        for d, entry in out.items():
-            if d != top:
-                entry[1] = []
-    return out
+
+    __slots__ = ("counts", "members", "all_members")
+
+    def __init__(self, all_members: bool):
+        self.counts: dict[int, int] = {}
+        self.members: dict[int, list] = {}
+        self.all_members = all_members
+
+    def add(self, degree: int, chars: int, members) -> None:
+        counts = self.counts
+        if degree in counts:
+            counts[degree] += chars
+        else:
+            counts[degree] = chars
+            kept = self.members
+            if self.all_members:
+                kept[degree] = []
+            elif len(kept) < 2 or degree > min(kept):
+                kept[degree] = []
+                if len(kept) > 2:
+                    del kept[min(kept)]
+        kept_members = self.members.get(degree)
+        if kept_members is not None:
+            kept_members.extend(members)
 
 
-def _an_shard(args: tuple[int, int, bool]) -> dict:
-    """Alternating-group degrees over one shard, one conjugacy rep per pair.
+def _pair_shard(
+    n: int, first_parts, groups: str, all_members: bool, table: dict | None = None
+) -> dict[str, tuple[dict, dict]]:
+    """Degrees over the partitions of n whose largest part is in ``first_parts``.
 
-    Returns degree -> [character count, members, splits].
+    Visits one representative per conjugate pair: λ is skipped when it has
+    more parts than its first part, because its conjugate, which has a
+    larger first part, stands for the pair; on a tie λ is kept when
+    λ >= λ'.  Each representative costs one conjugate, one hook product
+    and one exact division, since conjugates share the hook product.
+
+    Returns group -> (degree -> characters, degree -> members) for each
+    group in ``groups``.  In the symmetric group a pair counts twice and
+    both partitions are members; in the alternating group a self-conjugate
+    representative splits into two characters of half the degree.  With
+    ``table`` given, both partitions of every pair are entered in it with
+    their symmetric-group degree.
     """
-    n, first_part, store_members = args
     fact = factorial(n)
-    out: dict[int, list] = {}
-    top = -1
-    for lam in _shard_partitions(n, first_part):
-        conj = conjugate(lam)
-        if lam < conj:
+    sym = _Classes(all_members) if "S" in groups else None
+    alt = _Classes(all_members) if "A" in groups else None
+    for lam in _shard_partitions(n, first_parts):
+        rows = len(lam)
+        if rows > lam[0]:
             continue
-        d, rem = divmod(fact, hook_product(lam))
+        conj = conjugate(lam)
+        if rows == lam[0] and lam < conj:
+            continue
+        d, rem = divmod(fact, hook_product(lam, conj))
         if rem:
             raise ArithmeticError(f"hook product does not divide {n}! for {lam}")
+        if table is not None:
+            table[lam] = d
+            table[conj] = d
         if lam == conj:
-            half, odd = divmod(d, 2)
-            if odd:
-                raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
-            deg, chars = half, 2
+            if sym is not None:
+                sym.add(d, 1, (lam,))
+            if alt is not None:
+                half, odd = divmod(d, 2)
+                if odd:
+                    raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
+                alt.add(half, 2, ((lam, 2),))
         else:
-            deg, chars = d, 1
-        entry = out.get(deg)
-        if entry is None:
-            entry = [0, [], []]
-            out[deg] = entry
-        entry[0] += chars
-        keep = store_members
-        if not store_members and deg >= top:
-            if deg > top:
-                top = deg
-                out[deg][1] = []
-                out[deg][2] = []
-            keep = True
-        if keep:
-            entry[1].append(lam)
-            entry[2].append(chars)
-    if not store_members:
-        for deg, entry in out.items():
-            if deg != top:
-                entry[1] = []
-                entry[2] = []
-    return out
+            if sym is not None:
+                sym.add(d, 2, (lam, conj))
+            if alt is not None:
+                alt.add(d, 1, ((lam, 1),))
+    return {g: (c.counts, c.members) for g, c in (("S", sym), ("A", alt)) if c is not None}
 
 
-def _merge_shards(results, with_splits: bool) -> dict:
-    merged: dict[int, list] = {}
-    for shard in results:
-        for deg, entry in shard.items():
-            tgt = merged.get(deg)
-            if tgt is None:
-                merged[deg] = entry
-            else:
-                tgt[0] += entry[0]
-                tgt[1].extend(entry[1])
-                if with_splits:
-                    tgt[2].extend(entry[2])
-    return merged
+def _spectrum(n: int, group: str, classes: tuple[dict, dict], all_members: bool) -> DegreeSpectrum:
+    counts, members = classes
+    out = []
+    for deg in sorted(counts, reverse=True):
+        kept = sorted(members.get(deg, ()), reverse=True)
+        if group == "A":
+            out.append(DegreeClass(deg, counts[deg], tuple(p for p, _s in kept),
+                                   tuple(s for _p, s in kept)))
+        else:
+            out.append(DegreeClass(deg, counts[deg], tuple(kept)))
+    return _check_mass(DegreeSpectrum(n, group, tuple(out), all_members))
 
 
-def _build_spectrum(n: int, group: str, threads: int, store_members: bool) -> DegreeSpectrum:
-    worker = _sn_shard if group == "S" else _an_shard
-    with_splits = group == "A"
-    tasks = [(n, m, store_members) for m in range(n, 0, -1)]
-    if threads > 1 and n >= 18:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, tasks, chunksize=4))
+def pool_size(threads: int, shards: int, cpus: int | None) -> int:
+    """Worker processes for ``shards`` tasks: never more than requested,
+    than there are shards, or than ``cpus`` (os.cpu_count(), None if
+    unknown)."""
+    return max(1, min(threads, shards, cpus or 1))
+
+
+def _build_spectrum(n: int, group: str, threads: int, all_members: bool) -> DegreeSpectrum:
+    workers = pool_size(threads, n, os.cpu_count())
+    if workers > 1 and n >= 18:
+        # each shard keeps its own top two degrees, so merging keeps the
+        # global top two; shards are merged, and dropped, as they arrive
+        merged = _Classes(all_members)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shards = pool.map(_pair_shard, [n] * n, [(m,) for m in range(n, 0, -1)],
+                              [group] * n, [all_members] * n, chunksize=4)
+            for shard in shards:
+                counts, members = shard[group]
+                for deg, chars in counts.items():
+                    merged.add(deg, chars, members.get(deg, ()))
+        classes = merged.counts, merged.members
     else:
-        results = [worker(t) for t in tasks]
-    merged = _merge_shards(results, with_splits)
+        classes = _pair_shard(n, range(n, 0, -1), group, all_members)[group]
+    return _spectrum(n, group, classes, all_members)
 
-    top_degree = max(merged)
-    classes = []
-    for deg in sorted(merged, reverse=True):
-        entry = merged[deg]
-        keep = store_members or deg == top_degree
-        if with_splits:
-            pairs = sorted(zip(entry[1], entry[2]), reverse=True) if keep else []
-            members = tuple(p for p, _s in pairs)
-            splits = tuple(s for _p, s in pairs)
-        else:
-            members = tuple(sorted(entry[1], reverse=True)) if keep else ()
-            splits = ()
-        classes.append(DegreeClass(deg, entry[0], members, splits))
-    spec = DegreeSpectrum(n, group, tuple(classes), store_members)
-    return _check_mass(spec)
+
+def _check_n(n: int, lo: int, max_n: int) -> None:
+    if n < lo:
+        raise ValueError(f"n must be at least {lo}")
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
 
 
 def spectrum_sn(
@@ -248,14 +258,11 @@ def spectrum_sn(
     """Complete exact degree spectrum of the symmetric group on n points.
 
     Member partitions are stored for every class when n <= member_cap and
-    only for the top class above it.  The result is deterministic and
+    only for the top two classes above it.  The result is deterministic and
     independent of the worker count.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
-    return _build_spectrum(n, "S", threads, store_members=n <= member_cap)
+    _check_n(n, 1, max_n)
+    return _build_spectrum(n, "S", threads, all_members=n <= member_cap)
 
 
 def spectrum_an(
@@ -266,14 +273,34 @@ def spectrum_an(
     member_cap: int = MEMBER_CAP,
 ) -> DegreeSpectrum:
     """Complete exact degree spectrum of the alternating group on n points."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
-    return _build_spectrum(n, "A", threads, store_members=n <= member_cap)
+    _check_n(n, 2, max_n)
+    return _build_spectrum(n, "A", threads, all_members=n <= member_cap)
 
 
 _memo: dict[tuple[str, int], DegreeSpectrum] = {}
+_table: tuple[int, dict[Partition, int]] | None = None  # the last n's degree table
+
+
+def degree_table(n: int) -> dict[Partition, int]:
+    """Partition -> exact symmetric-group degree, for every partition of n.
+
+    Built sequentially by one pass over the conjugate-pair representatives,
+    which also memoizes the S_n and A_n spectra for ``cached_spectrum``.
+    Only the table of the most recent n is held.
+    """
+    global _table
+    if _table is not None and _table[0] == n:
+        return _table[1]
+    _check_n(n, 1, DEFAULT_MAX_N)
+    _table = None  # drop the previous n's table before building this one
+    groups = "".join(g for g in ("SA" if n >= 2 else "S") if (g, n) not in _memo)
+    all_members = n <= MEMBER_CAP
+    table: dict[Partition, int] = {}
+    classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table)
+    for group in groups:
+        _memo[(group, n)] = _spectrum(n, group, classes[group], all_members)
+    _table = (n, table)
+    return table
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
@@ -281,13 +308,16 @@ def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
     key = (group, n)
     spec = _memo.get(key)
     if spec is None:
-        spec = spectrum_sn(n) if group == "S" else spectrum_an(n)
-        _memo[key] = spec
+        _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
+        degree_table(n)
+        spec = _memo[key]
     return spec
 
 
 def clear_spectrum_cache() -> None:
+    global _table
     _memo.clear()
+    _table = None
 
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:
@@ -409,12 +439,8 @@ def branch_decompose(parts: Partition) -> BranchDecomposition:
 
 def _scan_degrees(parts: Partition) -> dict[Partition, int]:
     """Exact degrees of every single-node move of ``parts``."""
-    n = sum(parts)
-    fact = factorial(n)
-    out: dict[Partition, int] = {}
-    for _i, _j, moved in iter_moves(parts):
-        out[moved] = fact // hook_product(moved)
-    return out
+    table = degree_table(sum(parts))
+    return {moved: table[moved] for _i, _j, moved in iter_moves(parts)}
 
 
 def induced_bound_check(n: int) -> VerificationReport:
@@ -565,9 +591,9 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
             dn = lambda_dn(lam)
             if up is None or dn is None:
                 raise ArithmeticError(f"maximizer {lam} lacks a neighbor move")
-            fact = factorial(n)
-            d_up = fact // hook_product(up)
-            d_dn = fact // hook_product(dn)
+            table = degree_table(n)
+            d_up = table[up]
+            d_dn = table[dn]
             notes.append(
                 f"neighbors: up={format_partition(up)} degree {d_up}, "
                 f"dn={format_partition(dn)} degree {d_dn}"

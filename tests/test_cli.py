@@ -1,8 +1,11 @@
 """Command-line surface: formats, cache behavior, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
-from chardeg import cli
+import pytest
+
+from chardeg import cli, conjugate, enumerate_partitions
 from chardeg.cache import cache_path, load_spectrum, store_spectrum
 from chardeg.serialize import spectrum_to_doc
 from chardeg.spectrum import spectrum_an, spectrum_sn
@@ -48,6 +51,16 @@ class TestDegree:
         code, _, err = run(capsys, "degree", "1,3")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["degree", "branch"])
+    def test_resource_guard(self, capsys, command):
+        code, _, err = run(capsys, command, "3,2,1", "--max-n", "5")
+        assert code == 2 and "exceeds" in err
+        # refused before the exponent is expanded: the list would not fit
+        code, _, err = run(capsys, command, "1^100000000000000000")
+        assert code == 2 and "exceeds" in err
+        code, out, _ = run(capsys, command, "3,2,1", "--max-n", "6")
+        assert code == 0 and out
 
 
 class TestBranch:
@@ -109,6 +122,15 @@ class TestSpectrumCmd:
 
 
 class TestCache:
+    def test_incomplete_top_two_is_a_miss(self, tmp_path):
+        spec = spectrum_sn(12, member_cap=5)
+        path = store_spectrum(tmp_path, spec)
+        assert load_spectrum(tmp_path, "S", 12) == spec
+        entry = json.loads(path.read_text())
+        entry["spectrum"]["classes"][1]["members"] = []
+        path.write_text(json.dumps(entry))
+        assert load_spectrum(tmp_path, "S", 12) is None
+
     def test_write_and_reuse(self, capsys, tmp_path):
         code, out1, _ = run(
             capsys, "spectrum", "--n", "9", "--format", "json", "--cache-dir", str(tmp_path)
@@ -232,15 +254,69 @@ class TestVerifyCmd:
         doc = json.loads(out)
         assert doc["reports"][0]["status"] == "informational"
 
+    def test_all_equals_single_checks_joined(self, capsys):
+        code, out, _ = run(capsys, "verify", "--range", "5..14", "--checks", "all",
+                           "--format", "json")
+        assert code == 0
+        joined = []
+        for name in cli.CHECK_NAMES:
+            code, single, _ = run(capsys, "verify", "--range", "5..14", "--checks", name,
+                                  "--format", "json")
+            assert code == 0
+            joined.extend(json.loads(single)["reports"])
+        assert json.loads(out)["reports"] == joined
+
+    def test_one_hook_product_per_conjugate_pair(self, capsys, monkeypatch):
+        import chardeg
+        from chardeg import graph, hooks, spectrum
+
+        calls = []
+        real = hooks.hook_product
+
+        def counted(parts, conj=None):
+            calls.append(parts)
+            return real(parts, conj)
+
+        for module in (chardeg, hooks, spectrum, graph, cli):
+            if getattr(module, "hook_product", None) is real:
+                monkeypatch.setattr(module, "hook_product", counted)
+        spectrum.clear_spectrum_cache()
+        graph._class_counts.cache_clear()
+        try:
+            code, _, _ = run(capsys, "verify", "--range", "5..12", "--checks", "all")
+        finally:
+            spectrum.clear_spectrum_cache()
+            graph._class_counts.cache_clear()
+        assert code == 0
+        representatives = {
+            lam for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
+        }
+        assert len(calls) == len(set(calls)) == len(representatives)
+        assert set(calls) == representatives
+
+    def test_induced_bound_above_member_cap(self, capsys):
+        # above the member cap the alternating branch reads the members of
+        # the second symmetric class
+        code, out, _ = run(capsys, "verify", "--n", "44", "--checks", "induced-bound",
+                           "--format", "json")
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "pass"
+        assert "alternating-hypotheses=active" in report["notes"]
+        assert report["inequalities"]
+        for q in report["inequalities"]:
+            assert q["relation"] == ">" and Fraction(q["left"]) > Fraction(q["right"])
+
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7", "--checks", "bogus")
         assert code == 2 and "unknown check" in err
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
-        from chardeg.report import FAIL, VerificationReport
+        from chardeg.report import FAIL, Inequality, VerificationReport
 
         def fake(n, override_domain=False):
-            return VerificationReport(check="theorem2", n=n, status=FAIL)
+            failing = Inequality("below-top-sum-exceeds-twice-square", 1, ">", 2)
+            return VerificationReport(check="theorem2", n=n, status=FAIL, inequalities=(failing,))
 
         monkeypatch.setattr(cli, "verify_theorem2", fake)
         code, out, _ = run(capsys, "verify", "--n", "8", "--checks", "theorem2")

@@ -8,6 +8,7 @@ import pytest
 from chardeg import (
     branch_decompose,
     cached_spectrum,
+    count_standard_tableaux,
     degree_sn,
     enumerate_partitions,
     epsilon,
@@ -21,7 +22,8 @@ from chardeg import (
     verify_theorem1,
     verify_theorem2,
 )
-from chardeg.report import INCONCLUSIVE, INFORMATIONAL, PASS
+from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, VerificationReport
+from chardeg.spectrum import degree_table, pool_size
 
 
 class TestSpectrumSn:
@@ -58,8 +60,21 @@ class TestSpectrumSn:
     def test_members_truncated_above_cap(self):
         spec = spectrum_sn(12, member_cap=5)
         assert not spec.members_complete
-        assert spec.maximizers  # top class keeps its members
-        assert all(c.members == () for c in spec.classes[1:])
+        # the top two classes keep their members, the checks read both
+        assert all(c.complete and c.members for c in spec.classes[:2])
+        assert all(c.members == () for c in spec.classes[2:])
+
+    def test_top_two_members_above_cap(self):
+        # each shard keeps its own top two degrees; the merge keeps the
+        # global top two, at every worker count
+        for build in (spectrum_sn, spectrum_an):
+            full = build(20)
+            for threads in (1, 2):
+                capped = build(20, member_cap=5, threads=threads)
+                assert capped.classes[:2] == full.classes[:2]
+                assert [(c.degree, c.size) for c in capped.classes] == [
+                    (c.degree, c.size) for c in full.classes
+                ]
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -72,6 +87,47 @@ class TestSpectrumSn:
     def test_parallel_equals_sequential(self):
         for n in (19, 24):
             assert spectrum_sn(n, threads=2) == spectrum_sn(n)
+
+
+class TestDegreeTable:
+    def test_degrees_against_both_oracles(self):
+        for n in range(1, 21):
+            table = degree_table(n)
+            assert sorted(table, reverse=True) == list(enumerate_partitions(n))
+            for lam, d in table.items():
+                assert d == degree_sn(lam) == count_standard_tableaux(lam), lam
+
+    def test_feeds_both_cached_spectra(self):
+        for n in (2, 9, 16):
+            table = degree_table(n)
+            for group in ("S", "A"):
+                build = spectrum_sn if group == "S" else spectrum_an
+                assert cached_spectrum(group, n) == build(n)
+            s_members = {lam for c in cached_spectrum("S", n).classes for lam in c.members}
+            assert s_members == set(table)
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            degree_table(0)
+        with pytest.raises(ValueError):
+            degree_table(61)
+        with pytest.raises(ValueError):
+            cached_spectrum("A", 1)
+
+
+class TestPoolSize:
+    def test_limits(self):
+        assert pool_size(1, 50, 2) == 1
+        assert pool_size(2, 50, 2) == 2
+        assert pool_size(8, 50, 2) == 2
+        assert pool_size(8, 3, 64) == 3
+        assert pool_size(4, 50, None) == 1
+
+    def test_extreme_values_start_nothing(self):
+        # pure arithmetic: a huge request is cut to the shard and CPU counts
+        assert pool_size(10**6, 50, 2) == 2
+        assert pool_size(10**6, 10**6, 10**6) == 10**6
+        assert pool_size(10**6, 60, 10**6) == 60
 
 
 class TestSpectrumAn:
@@ -102,6 +158,15 @@ class TestSpectrumAn:
 
     def test_parallel_equals_sequential(self):
         assert spectrum_an(21, threads=2) == spectrum_an(21)
+
+
+class TestReport:
+    def test_verdict_needs_an_inequality(self):
+        for status in (PASS, FAIL):
+            with pytest.raises(ValueError):
+                VerificationReport(check="theorem2", n=8, status=status)
+        for status in (INFORMATIONAL, INCONCLUSIVE):
+            assert VerificationReport(check="theorem2", n=8, status=status).consistent()
 
 
 class TestEpsilon:
