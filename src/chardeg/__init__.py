@@ -42,7 +42,6 @@ from .graph import (
     PartitionGraph,
     build_graph,
     component_class_check,
-    components,
     graph_structure_check,
     local_extrema_check,
     low_degree_count_check,

@@ -4,14 +4,14 @@ One JSON file per (group, n), keyed by schema version.  Entries whose
 schema does not match, that fail to parse, or that violate the spectrum
 mass invariant are silently recomputed; the cache can speed things up but
 must never change a result.  Writes go through a temp file and an atomic
-rename.
+rename.  An entry holds only the schema, the producer and the spectrum, so
+its bytes depend on nothing but the result.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 from . import __version__
@@ -47,12 +47,15 @@ def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
     entry = {
         "schema": SCHEMA_VERSION,
         "producer": f"chardeg {__version__}",
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "spectrum": spectrum_to_doc(spec),
     }
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import load_spectrum, store_spectrum
@@ -53,40 +52,6 @@ from .spectrum import (
 
 CACHE_ENV = "CHARDEG_CACHE_DIR"
 
-CHECK_NAMES = (
-    "theorem1",
-    "theorem2",
-    "sandwich",
-    "ratio-lemma",
-    "count-lemmas",
-    "move-scan",
-    "induced-bound",
-    "epsilon-bounds",
-)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    n_range: tuple[int, int] | None = None
-    group: str = "S"
-    fmt: str = "text"
-    cache_dir: str | None = None
-    threads: int = 1
-    max_n: int = DEFAULT_MAX_N
-    override_domain: bool = False
-    checks: tuple[str, ...] = ()
-    out: str | None = None
-
-    def ns(self) -> list[int]:
-        if self.n_range is not None:
-            lo, hi = self.n_range
-            return list(range(lo, hi + 1))
-        if self.n is not None:
-            return [self.n]
-        raise UsageError("one of --n or --range is required")
-
 
 class UsageError(Exception):
     pass
@@ -103,29 +68,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _get_spectrum(cfg: RunConfig, group: str, n: int):
-    if n > cfg.max_n:
-        raise UsageError(f"n={n} exceeds the resource guard --max-n {cfg.max_n}")
-    if cfg.cache_dir:
-        spec = load_spectrum(cfg.cache_dir, group, n)
-        if spec is not None:
-            return spec
-    builder = spectrum_sn if group == "S" else spectrum_an
-    spec = builder(n, threads=cfg.threads, max_n=cfg.max_n)
-    if cfg.cache_dir:
-        store_spectrum(cfg.cache_dir, spec)
-    return spec
+def _guard(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise UsageError(f"n={n} exceeds the resource guard --max-n {max_n}")
 
 
-def cmd_degree(cfg: RunConfig, text: str) -> int:
-    parts = parse_partition(text, max_n=cfg.max_n)
+def cmd_degree(args: argparse.Namespace) -> int:
+    parts = parse_partition(args.partition, max_n=args.max_n)
     n = sum(parts)
     h = hook_product(parts)
     deg = degree_sn(parts)
     entry = degrees_an(parts)[0]
     up, dn = lambda_up(parts), lambda_dn(parts)
     ratio = up_dn_ratio(parts)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "schema": 1,
             "partition": format_partition(parts),
@@ -158,12 +114,12 @@ def cmd_degree(cfg: RunConfig, text: str) -> int:
     return 0
 
 
-def cmd_branch(cfg: RunConfig, text: str) -> int:
-    parts = parse_partition(text, max_n=cfg.max_n)
+def cmd_branch(args: argparse.Namespace) -> int:
+    parts = parse_partition(args.partition, max_n=args.max_n)
     decomp = branch_decompose(parts)
     n = sum(parts)
     degs = [degree_sn(c) for c in decomp.constituents]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "schema": 1,
             "source": format_partition(parts),
@@ -189,88 +145,91 @@ def cmd_branch(cfg: RunConfig, text: str) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise UsageError("spectrum requires --n")
-    group = cfg.group.upper()
-    spec = _get_spectrum(cfg, group, cfg.n)
-    if cfg.fmt == "json":
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
+    _guard(args.n, args.max_n)
+    group = args.group.upper()
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    spec = load_spectrum(cache_dir, group, args.n) if cache_dir else None
+    if spec is None:
+        builder = spectrum_sn if group == "S" else spectrum_an
+        spec = builder(args.n, threads=args.threads, max_n=args.max_n)
+        if cache_dir:
+            try:
+                store_spectrum(cache_dir, spec)
+            except OSError as exc:
+                print(f"warning: spectrum not cached: {exc}", file=sys.stderr)
+    if args.fmt == "json":
         print(json_text(spectrum_to_doc(spec)), end="")
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print(spectrum_to_csv(spec), end="")
     else:
         print(spectrum_to_text(spec), end="")
     return 0
 
 
-def cmd_graph(cfg: RunConfig) -> int:
-    if cfg.n is None:
-        raise UsageError("graph requires --n")
-    if cfg.n > cfg.max_n:
-        raise UsageError(f"n={cfg.n} exceeds the resource guard --max-n {cfg.max_n}")
-    graph = build_graph(cfg.n)
-    if cfg.fmt == "dot":
+def cmd_graph(args: argparse.Namespace) -> int:
+    _guard(args.n, args.max_n)
+    graph = build_graph(args.n)
+    if args.fmt == "dot":
         print(graph_to_dot(graph), end="")
     else:
         print(json_text(graph_to_doc(graph)), end="")
     return 0
 
 
-def _run_check(name: str, n: int, cfg: RunConfig) -> list:
-    if name == "theorem1":
-        return [verify_theorem1(n, override_domain=cfg.override_domain)]
-    if name == "theorem2":
-        return [verify_theorem2(n, override_domain=cfg.override_domain)]
-    if name == "sandwich":
-        return [sandwich_check(n)]
-    if name == "ratio-lemma":
-        return [ratio_lemma_check(n)]
-    if name == "count-lemmas":
-        return [low_degree_count_check_all(n), near_max_count_check_all(n)]
-    if name == "move-scan":
-        reports = [move_scan_verify(n, "A")]
-        if n >= 7:
-            reports.append(move_scan_verify(n, "S"))
-        return reports
-    if name == "induced-bound":
-        return [induced_bound_check(n)]
-    if name == "epsilon-bounds":
-        return [epsilon_lower_bounds(n)]
-    raise UsageError(f"unknown check {name!r}")
+def _move_scans(n: int, override_domain: bool) -> list:
+    reports = [move_scan_verify(n, "A")]
+    if n >= 7:
+        reports.append(move_scan_verify(n, "S"))
+    return reports
 
 
-_CHECK_DOMAIN_LO = {
-    "theorem1": 5,
-    "theorem2": 7,
-    "sandwich": 5,
-    "ratio-lemma": 1,
-    "count-lemmas": 5,
-    "move-scan": 5,
-    "induced-bound": 5,
-    "epsilon-bounds": 5,
+# ``verify --checks`` names -> (domain floor, floor under --override-domain,
+# runner).  A runner maps (n, override_domain) to the check's reports.  The
+# runners name their check functions as module globals, looked up at call
+# time, so that rebinding a module attribute reaches them.
+CHECKS = {
+    "theorem1": (5, 2, lambda n, od: [verify_theorem1(n, override_domain=od)]),
+    "theorem2": (7, 2, lambda n, od: [verify_theorem2(n, override_domain=od)]),
+    "sandwich": (5, 5, lambda n, od: [sandwich_check(n)]),
+    "ratio-lemma": (1, 1, lambda n, od: [ratio_lemma_check(n)]),
+    "count-lemmas": (5, 5, lambda n, od: [low_degree_count_check_all(n), near_max_count_check_all(n)]),
+    "move-scan": (5, 5, _move_scans),
+    "induced-bound": (5, 5, lambda n, od: [induced_bound_check(n)]),
+    "epsilon-bounds": (5, 5, lambda n, od: [epsilon_lower_bounds(n)]),
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    ns = cfg.ns()
-    for n in ns:
-        if n > cfg.max_n:
-            raise UsageError(f"n={n} exceeds the resource guard --max-n {cfg.max_n}")
-    requested = cfg.checks or ("all",)
-    if "all" in requested:
-        requested = CHECK_NAMES
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.threads != 1:
+        raise UsageError("verify runs in one process, so --threads must be 1; "
+                         "only spectrum starts workers")
+    if args.n_range is not None:
+        lo, hi = _parse_range(args.n_range)
+        ns = range(lo, hi + 1)
+    elif args.n is not None:
+        ns = [args.n]
+    else:
+        raise UsageError("one of --n or --range is required")
+    requested = [t.strip() for t in args.checks.split(",") if t.strip()]
+    for name in requested:
+        if name != "all" and name not in CHECKS:
+            raise UsageError(f"unknown check {name!r}")
+    if not requested or "all" in requested:
+        requested = list(CHECKS)
+    _guard(ns[-1], args.max_n)
     lows = []
     for name in requested:
-        lo = _CHECK_DOMAIN_LO[name]
-        if cfg.override_domain and name in ("theorem1", "theorem2"):
-            lo = 2
+        lo, lo_override, _ = CHECKS[name]
+        if args.override_domain:
+            lo = lo_override
         if ns[-1] < lo:
-            print(
-                f"error: check {name!r} is stated for n >= {lo}; "
-                f"requested range lies outside its domain",
-                file=sys.stderr,
+            raise UsageError(
+                f"check {name!r} is stated for n >= {lo}; "
+                f"requested range lies outside its domain"
             )
-            return 2
         lows.append(lo)
     # Evaluate n-major, so each n's degree table is built once and dropped
     # before the next n; report check-major, one check's range at a time.
@@ -278,9 +237,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     for n in ns:
         for name, lo, out in zip(requested, lows, per_check):
             if n >= lo:
-                out.extend(_run_check(name, n, cfg))
+                out.extend(CHECKS[name][2](n, args.override_domain))
     reports = [r for out in per_check for r in out]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {"schema": 1, "reports": [report_to_doc(r) for r in reports]}
         print(json_text(doc), end="")
     else:
@@ -289,21 +248,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if any(r.status == FAIL for r in reports) else 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    max_n = cfg.n
-    if max_n is None:
-        raise UsageError("scan requires --n, the upper bound of the scan")
-    if max_n < 5:
+def cmd_scan(args: argparse.Namespace) -> int:
+    if args.n < 5:
         raise UsageError("scan starts at n = 5; give --n of at least 5")
-    if max_n > cfg.max_n:
-        raise UsageError(f"n={max_n} exceeds the resource guard --max-n {cfg.max_n}")
-    if cfg.out is None:
-        raise UsageError("scan requires --out PATH")
-    out = Path(cfg.out)
+    _guard(args.n, args.max_n)
+    out = Path(args.out)
     rows = ["n,b_s,m1,b_a,ba_equals_bs,eps_s,eps_s_decimal,eps_a,eps_a_decimal,x,y"]
     tmp = out.with_name(out.name + f".tmp{os.getpid()}")
     try:
-        for n in range(5, max_n + 1):
+        for n in range(5, args.n + 1):
             s_spec = cached_spectrum("S", n)
             a_spec = cached_spectrum("A", n)
             eps_s = epsilon(s_spec)
@@ -332,7 +285,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    print(f"wrote {out} ({max_n - 4} rows)")
+    print(f"wrote {out} ({args.n - 4} rows)")
     return 0
 
 
@@ -342,93 +295,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact character-degree spectra of symmetric and alternating groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help="resource guard")
 
-    def add_common(p, fmt_choices, default_fmt):
-        p.add_argument("--format", dest="fmt", choices=fmt_choices, default=default_fmt)
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-        p.add_argument("--override-domain", action="store_true")
-
-    p = sub.add_parser("degree", help="hook data for one partition")
+    p = sub.add_parser("degree", parents=[guard], help="hook data for one partition")
     p.add_argument("partition")
-    add_common(p, ("text", "json"), "text")
+    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("branch", help="restriction-induction decomposition")
+    p = sub.add_parser("branch", parents=[guard], help="restriction-induction decomposition")
     p.add_argument("partition")
-    add_common(p, ("text", "json"), "text")
+    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_branch)
 
-    p = sub.add_parser("spectrum", help="full degree spectrum for one n")
+    p = sub.add_parser("spectrum", parents=[guard], help="full degree spectrum for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=("s", "a"), default="s")
-    add_common(p, ("text", "json", "csv"), "text")
+    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--cache-dir", help=f"spectrum cache directory (default ${CACHE_ENV})")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("graph", help="move-graph components for one n")
+    p = sub.add_parser("graph", parents=[guard], help="move-graph components for one n")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, ("dot", "json"), "json")
+    p.add_argument("--format", dest="fmt", choices=("dot", "json"), default="json")
+    p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("verify", help="run named checks over a range of n")
-    p.add_argument("--n", type=int)
-    p.add_argument("--range", dest="n_range")
+    p = sub.add_parser("verify", parents=[guard], help="run named checks over a range of n")
+    span = p.add_mutually_exclusive_group()
+    span.add_argument("--n", type=int)
+    span.add_argument("--range", dest="n_range")
     p.add_argument(
         "--checks",
         default="all",
-        help="comma separated subset of: " + ", ".join(CHECK_NAMES) + ", all",
+        help="comma separated subset of: " + ", ".join(CHECKS) + ", all",
     )
-    add_common(p, ("text", "json"), "text")
+    p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    p.add_argument("--threads", type=int, default=1, help="must be 1")
+    p.add_argument(
+        "--override-domain",
+        action="store_true",
+        help="evaluate theorem1/theorem2 outside their stated range, as informational",
+    )
+    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("scan", help="CSV trend table for n = 5..N")
+    p = sub.add_parser("scan", parents=[guard], help="CSV trend table for n = 5..N")
     p.add_argument("--n", type=int, required=True, help="upper bound of the scan")
     p.add_argument("--out", required=True)
-    add_common(p, ("csv",), "csv")
+    p.set_defaults(func=cmd_scan)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV) or None
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise UsageError("--threads must be at least 1")
-    n_range = getattr(args, "n_range", None)
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        n_range=_parse_range(n_range) if n_range else None,
-        group=getattr(args, "group", "s").upper(),
-        fmt=getattr(args, "fmt", "text"),
-        cache_dir=cache_dir,
-        threads=threads,
-        max_n=getattr(args, "max_n", DEFAULT_MAX_N),
-        override_domain=getattr(args, "override_domain", False),
-        checks=tuple(
-            t.strip() for t in getattr(args, "checks", "all").split(",") if t.strip()
-        ),
-        out=getattr(args, "out", None),
-    )
-    for name in cfg.checks:
-        if name != "all" and name not in CHECK_NAMES:
-            raise UsageError(f"unknown check {name!r}")
-    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "degree":
-            return cmd_degree(cfg, args.partition)
-        if args.command == "branch":
-            return cmd_branch(cfg, args.partition)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "graph":
-            return cmd_graph(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (UsageError, PartitionFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,10 +69,6 @@ def build_graph(n: int) -> PartitionGraph:
     return PartitionGraph(n, tuple(components))
 
 
-def components(graph: PartitionGraph) -> list[PathComponent]:
-    return list(graph.components)
-
-
 def graph_structure_check(n: int) -> VerificationReport:
     """Degree bound, adjacency symmetry, simple-path decomposition, coverage."""
     t0 = time.perf_counter()

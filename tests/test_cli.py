@@ -181,6 +181,37 @@ class TestCache:
         assert code == 0
         assert cache_path(tmp_path, "S", 7).exists()
 
+    def test_failed_write_is_a_warning(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        _, expected, _ = run(capsys, "spectrum", "--n", "8")
+        code, out, err = run(capsys, "spectrum", "--n", "8", "--cache-dir", str(blocker / "sub"))
+        assert code == 0 and out == expected
+        assert len(err.splitlines()) == 1 and err.startswith("warning:")
+        assert blocker.read_text() == "not a directory"
+
+    def test_failed_rename_leaves_no_temp_file(self, capsys, tmp_path):
+        cache_path(tmp_path, "S", 8).mkdir()  # a directory where the entry goes
+        (cache_path(tmp_path, "S", 8) / "keep").write_text("")
+        code, out, err = run(capsys, "spectrum", "--n", "8", "--cache-dir", str(tmp_path))
+        assert code == 0 and out and err.startswith("warning:")
+        assert [p.name for p in tmp_path.iterdir()] == ["s008.json"]
+
+    def test_entry_holds_only_result(self, tmp_path):
+        path = store_spectrum(tmp_path, spectrum_sn(9))
+        first = path.read_bytes()
+        assert set(json.loads(first)) == {"schema", "producer", "spectrum"}
+        store_spectrum(tmp_path, spectrum_sn(9))
+        assert path.read_bytes() == first
+
+    def test_entry_with_timestamp_still_loads(self, tmp_path):
+        spec = spectrum_sn(9)
+        path = store_spectrum(tmp_path, spec)
+        entry = json.loads(path.read_text())
+        entry["created"] = "2026-01-01T00:00:00Z"
+        path.write_text(json.dumps(entry))
+        assert load_spectrum(tmp_path, "S", 9) == spec
+
 
 class TestGraphCmd:
     def test_json_n4(self, capsys):
@@ -259,7 +290,7 @@ class TestVerifyCmd:
                            "--format", "json")
         assert code == 0
         joined = []
-        for name in cli.CHECK_NAMES:
+        for name in cli.CHECKS:
             code, single, _ = run(capsys, "verify", "--range", "5..14", "--checks", name,
                                   "--format", "json")
             assert code == 0
@@ -331,6 +362,54 @@ class TestVerifyCmd:
         code, _, err = run(capsys, "verify", "--checks", "sandwich")
         assert code == 2
 
+    def test_n_with_range_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "5", "--range", "7..8", "--checks", "sandwich"])
+        assert exc.value.code == 2
+        assert "not allowed" in capsys.readouterr().err
+
+    def test_threads_other_than_one_rejected(self, capsys, monkeypatch):
+        from chardeg import spectrum
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("verify started a process pool")
+
+        monkeypatch.setattr(spectrum, "ProcessPoolExecutor", no_pool)
+        code, out, err = run(capsys, "verify", "--n", "5", "--checks", "sandwich",
+                             "--threads", "2")
+        assert code == 2 and not out
+        assert "only spectrum starts workers" in err
+        code, out, _ = run(capsys, "verify", "--n", "5", "--checks", "sandwich",
+                           "--threads", "1")
+        assert code == 0 and out.startswith("PASS")
+
+
+REMOVED_FLAGS = [
+    *[(cmd, flag) for cmd in ("degree", "branch", "graph")
+      for flag in ("--threads", "--cache-dir", "--override-domain")],
+    ("spectrum", "--override-domain"),
+    ("verify", "--cache-dir"),
+    *[("scan", flag) for flag in ("--threads", "--cache-dir", "--override-domain", "--format")],
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flag_not_accepted(capsys, tmp_path, command, flag):
+    argv = {
+        "degree": ["degree", "3,1"],
+        "branch": ["branch", "3,1"],
+        "graph": ["graph", "--n", "4"],
+        "spectrum": ["spectrum", "--n", "4"],
+        "verify": ["verify", "--n", "5", "--checks", "sandwich"],
+        "scan": ["scan", "--n", "5", "--out", str(tmp_path / "t.csv")],
+    }[command]
+    value = {"--threads": ["1"], "--cache-dir": [str(tmp_path / "c")], "--format": ["csv"]}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag] + value.get(flag, []))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestScanCmd:
     def test_rows_and_values(self, capsys, tmp_path):
@@ -354,7 +433,7 @@ class TestScanCmd:
     def test_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "scan", "--n", "8", "--out", str(a))
-        run(capsys, "scan", "--n", "8", "--out", str(b), "--threads", "2")
+        run(capsys, "scan", "--n", "8", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_guard(self, capsys, tmp_path):

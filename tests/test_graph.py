@@ -5,7 +5,6 @@ import pytest
 from chardeg import (
     build_graph,
     component_class_check,
-    components,
     count_partitions,
     enumerate_partitions,
     graph_structure_check,
@@ -69,10 +68,6 @@ class TestBuildGraph:
         for n in range(1, 22):
             g = build_graph(n)
             assert g.vertex_count == count_partitions(n)
-
-    def test_components_accessor(self):
-        g = build_graph(5)
-        assert components(g) == list(g.components)
 
     def test_against_union_find(self):
         for n in range(1, 15):
