@@ -18,6 +18,7 @@ from heapq import nlargest
 
 from .partitions import (
     Partition,
+    count_partitions,
     enumerate_partitions,
     format_partition,
     lambda_dn,
@@ -45,26 +46,27 @@ def neighbors(parts: Partition) -> tuple[Partition, ...]:
 
 
 def vertex_degree(parts: Partition) -> int:
-    return len(neighbors(parts))
+    """The number of move neighbors, counted without building them; the
+    conditions are those of ``lambda_up`` and ``lambda_dn``."""
+    k = len(parts)
+    up = k >= 2 and parts[-1] == 1
+    dn = k >= 1 and parts[0] >= 2 and (k == 1 or parts[0] > parts[1])
+    return up + dn
 
 
 def build_graph(n: int) -> PartitionGraph:
     """All partitions of n decomposed into maximal move paths."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    visited: set[Partition] = set()
     components: list[PathComponent] = []
     for lam in enumerate_partitions(n):
-        if lam in visited:
-            continue
-        # first unvisited vertex in enumeration order is its component's
-        # λ_up-most end, because λ_up raises the first part
+        if len(lam) >= 2 and lam[-1] == 1:
+            continue  # λ_up is defined, so lam is not the top of its path
+        # λ_up raises the first part, so a path's top comes first in
+        # enumeration order and components keep that order
         path = [lam]
-        cur = lam
-        while (down := lambda_dn(cur)) is not None:
-            path.append(down)
-            cur = down
-        visited.update(path)
+        while (lam := lambda_dn(lam)) is not None:
+            path.append(lam)
         components.append(tuple(path))
     return PartitionGraph(n, tuple(components))
 
@@ -73,7 +75,6 @@ def graph_structure_check(n: int) -> VerificationReport:
     """Degree bound, adjacency symmetry, simple-path decomposition, coverage."""
     t0 = time.perf_counter()
     graph = build_graph(n)
-    expected = sum(1 for _ in enumerate_partitions(n))
     seen: set[Partition] = set()
     bad: list[str] = []
     for comp in graph.components:
@@ -92,7 +93,7 @@ def graph_structure_check(n: int) -> VerificationReport:
                 bad.append(f"non-adjacent consecutive vertices at {format_partition(v)}")
         if lambda_up(comp[0]) is not None or lambda_dn(comp[-1]) is not None:
             bad.append(f"path endpoints not maximal in component of {format_partition(comp[0])}")
-    ineq = Inequality("vertices-covered", len(seen), "==", expected)
+    ineq = Inequality("vertices-covered", len(seen), "==", count_partitions(n))
     ok = not bad and ineq.holds()
     return VerificationReport(
         check="graph-structure",
@@ -214,14 +215,17 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _class_counts(n: int):
     """Per-class data for the counting checks.
 
     Returns (degrees, sizes, prefix_sizes, low_degree_counts, in_range_counts,
-    low_degree_samples) where classes are indexed 0-based in decreasing
+    low_degree_members) where classes are indexed 0-based in decreasing
     degree order and prefix_sizes[r] counts characters of strictly larger
-    degree.
+    degree.  low_degree_members maps a class index to its members in table
+    order, for classes that have any; a report samples the first three in
+    enumeration order, which is descending.  Like the degree table, only
+    the most recent n is held.
     """
     spec = cached_spectrum("S", n)
     degrees = [c.degree for c in spec.classes]
@@ -234,13 +238,11 @@ def _class_counts(n: int):
         prefix[i + 1] = prefix[i] + sizes[i]
     total = prefix[m]
 
-    low_members: list[list[Partition]] = [[] for _ in range(m)]
+    low_members: dict[int, list[Partition]] = {}
     for lam, d in degree_table(n).items():
-        if lambda_up(lam) is None or lambda_dn(lam) is None:
-            low_members[index_of[d]].append(lam)
-    low_counts = [len(members) for members in low_members]
-    # the first three in enumeration order, which is descending
-    low_samples = [tuple(nlargest(3, members)) for members in low_members]
+        if vertex_degree(lam) < 2:
+            low_members.setdefault(index_of[d], []).append(lam)
+    low_counts = [len(low_members.get(i, ())) for i in range(m)]
 
     # in_range[r] = characters with degree strictly between b_r/4 and b_r
     in_range = [0] * m
@@ -253,14 +255,14 @@ def _class_counts(n: int):
             t += 1
         at_most_quarter = total - prefix[t]
         in_range[r] = below - at_most_quarter
-    return degrees, sizes, prefix, low_counts, in_range, low_samples
+    return degrees, sizes, prefix, low_counts, in_range, low_members
 
 
 def low_degree_count_check(n: int, r: int) -> VerificationReport:
     """At most 2 |M_1 ∪ ... ∪ M_{r-1}| partitions of the r-th degree class
     have fewer than two move neighbors; for r = 1 that means none at all."""
     t0 = time.perf_counter()
-    degrees, sizes, prefix, low_counts, _in_range, samples = _class_counts(n)
+    degrees, sizes, prefix, low_counts, _in_range, low_members = _class_counts(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
     ineqs = [Inequality("low-degree-members", low_counts[r - 1], "<=", 2 * prefix[r - 1])]
@@ -274,7 +276,7 @@ def low_degree_count_check(n: int, r: int) -> VerificationReport:
         n=n,
         status=status,
         inequalities=tuple(ineqs),
-        witnesses=samples[r - 1],
+        witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
         notes=(f"r={r}", f"|M_r|={sizes[r - 1]}"),
         elapsed=time.perf_counter() - t0,
     )
@@ -284,7 +286,7 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
     """At least |M_r| - 4 |M_1 ∪ ... ∪ M_{r-1}| characters have degree
     strictly between b_r/4 and b_r, compared in exact arithmetic."""
     t0 = time.perf_counter()
-    degrees, sizes, prefix, _low, in_range, _samples = _class_counts(n)
+    degrees, sizes, prefix, _low, in_range, _members = _class_counts(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
     ineq = Inequality(
@@ -304,7 +306,7 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
     """The low-degree counting bound over every class at once; the recorded
     inequality is the tightest class."""
     t0 = time.perf_counter()
-    degrees, sizes, prefix, low_counts, _in_range, samples = _class_counts(n)
+    degrees, sizes, prefix, low_counts, _in_range, low_members = _class_counts(n)
     m = len(degrees)
     failures = [r for r in range(1, m + 1) if low_counts[r - 1] > 2 * prefix[r - 1]]
     tightest = min(
@@ -328,7 +330,7 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
         n=n,
         status=status,
         inequalities=tuple(ineqs),
-        witnesses=samples[tightest - 1],
+        witnesses=tuple(nlargest(3, low_members.get(tightest - 1, ()))),
         notes=tuple(notes),
         elapsed=time.perf_counter() - t0,
     )
@@ -337,7 +339,7 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
 def near_max_count_check_all(n: int) -> VerificationReport:
     """The near-top counting bound over every class at once."""
     t0 = time.perf_counter()
-    degrees, sizes, prefix, _low, in_range, _samples = _class_counts(n)
+    degrees, sizes, prefix, _low, in_range, _members = _class_counts(n)
     m = len(degrees)
     failures = [
         r for r in range(1, m + 1) if in_range[r - 1] < sizes[r - 1] - 4 * prefix[r - 1]

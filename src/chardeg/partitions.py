@@ -99,17 +99,14 @@ def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partit
     r: Partition = (cap,) * q + ((rem,) if rem else ())
     yield r
     while True:
-        i = len(r) - 1
-        while i > -1 and r[i] == 1:
-            i -= 1
+        # i is the last part above 1; lower it by one and refill the tail
+        # (that unit plus the trailing ones) greedily with parts of at most v
+        i = (r.index(1) if r[-1] == 1 else len(r)) - 1
         if i == -1:
             return
-        s = len(r) - i
-        r = r[:i] + (r[i] - 1,)
-        while s > 0:
-            part = min(r[-1], s)
-            r += (part,)
-            s -= part
+        v = r[i] - 1
+        q, rem = divmod(len(r) - i, v)
+        r = r[:i] + (v,) * (q + 1) + ((rem,) if rem else ())
         yield r
 
 

@@ -277,47 +277,43 @@ def spectrum_an(
     return _build_spectrum(n, "A", threads, all_members=n <= member_cap)
 
 
-_memo: dict[tuple[str, int], DegreeSpectrum] = {}
-_table: tuple[int, dict[Partition, int]] | None = None  # the last n's degree table
+# the current n's degree table and its spectra, replaced when another n is built
+_store: tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]] | None = None
+
+
+def _current(n: int) -> tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]]:
+    """The store for n, built by one sequential pass over the conjugate-pair
+    representatives unless it already holds n."""
+    global _store
+    if _store is None or _store[0] != n:
+        _check_n(n, 1, DEFAULT_MAX_N)
+        _store = None  # drop the previous n before building this one
+        groups = "SA" if n >= 2 else "S"
+        all_members = n <= MEMBER_CAP
+        table: dict[Partition, int] = {}
+        classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table)
+        _store = (n, table, {g: _spectrum(n, g, classes[g], all_members) for g in groups})
+    return _store
 
 
 def degree_table(n: int) -> dict[Partition, int]:
     """Partition -> exact symmetric-group degree, for every partition of n.
 
-    Built sequentially by one pass over the conjugate-pair representatives,
-    which also memoizes the S_n and A_n spectra for ``cached_spectrum``.
-    Only the table of the most recent n is held.
+    Only the most recent n is held, together with its S_n and A_n spectra;
+    asking for another n rebuilds.
     """
-    global _table
-    if _table is not None and _table[0] == n:
-        return _table[1]
-    _check_n(n, 1, DEFAULT_MAX_N)
-    _table = None  # drop the previous n's table before building this one
-    groups = "".join(g for g in ("SA" if n >= 2 else "S") if (g, n) not in _memo)
-    all_members = n <= MEMBER_CAP
-    table: dict[Partition, int] = {}
-    classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table)
-    for group in groups:
-        _memo[(group, n)] = _spectrum(n, group, classes[group], all_members)
-    _table = (n, table)
-    return table
+    return _current(n)[1]
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
-    """Sequentially computed spectrum, memoized per (group, n)."""
-    key = (group, n)
-    spec = _memo.get(key)
-    if spec is None:
-        _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
-        degree_table(n)
-        spec = _memo[key]
-    return spec
+    """Sequentially computed spectrum, from the same store as ``degree_table``."""
+    _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
+    return _current(n)[2][group]
 
 
 def clear_spectrum_cache() -> None:
-    global _table
-    _memo.clear()
-    _table = None
+    global _store
+    _store = None
 
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:

@@ -325,6 +325,21 @@ class TestVerifyCmd:
         assert len(calls) == len(set(calls)) == len(representatives)
         assert set(calls) == representatives
 
+    def test_store_holds_only_the_last_n(self, capsys):
+        from chardeg import spectrum
+
+        spectrum.clear_spectrum_cache()
+        code, _, _ = run(capsys, "verify", "--range", "5..8", "--checks", "all")
+        assert code == 0
+        n, table, spectra = spectrum._store
+        assert n == 8
+        assert {sum(lam) for lam in table} == {8}
+        assert sorted(spectra) == ["A", "S"]
+        assert {spec.n for spec in spectra.values()} == {8}
+        # an earlier n is rebuilt on demand, and then replaces n = 8
+        assert spectrum.cached_spectrum("S", 5) == spectrum_sn(5)
+        assert spectrum._store[0] == 5
+
     def test_induced_bound_above_member_cap(self, capsys):
         # above the member cap the alternating branch reads the members of
         # the second symmetric class

@@ -46,6 +46,22 @@ def union_find_components(n):
     return sorted(sizes.values(), reverse=True)
 
 
+def visited_walk_components(n):
+    """Components by the first-unvisited-vertex walk, an independent
+    reference for the order and content of ``build_graph``."""
+    visited = set()
+    components = []
+    for lam in enumerate_partitions(n):
+        if lam in visited:
+            continue
+        path = [lam]
+        while (down := lambda_dn(path[-1])) is not None:
+            path.append(down)
+        visited.update(path)
+        components.append(tuple(path))
+    return tuple(components)
+
+
 class TestBuildGraph:
     def test_n4(self):
         g = build_graph(4)
@@ -75,10 +91,19 @@ class TestBuildGraph:
             assert sorted((len(c) for c in g.components), reverse=True) == \
                 union_find_components(n)
 
+    def test_against_visited_walk(self):
+        for n in range(1, 26):
+            assert build_graph(n).components == visited_walk_components(n), n
+
     def test_degrees(self):
         assert vertex_degree((3, 1)) == 2
         assert vertex_degree((2, 2)) == 0
         assert vertex_degree((4,)) == 1
+
+    def test_degree_counts_neighbors(self):
+        for n in range(0, 21):
+            for lam in enumerate_partitions(n):
+                assert vertex_degree(lam) == len(neighbors(lam)), lam
 
     def test_path_adjacency_and_symmetry(self):
         for n in range(1, 22):
