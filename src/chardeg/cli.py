@@ -214,10 +214,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise UsageError("one of --n or --range is required")
     requested = [t.strip() for t in args.checks.split(",") if t.strip()]
+    if not requested:
+        raise UsageError("--checks names no check; give check names or all")
     for name in requested:
         if name != "all" and name not in CHECKS:
             raise UsageError(f"unknown check {name!r}")
-    if not requested or "all" in requested:
+    if "all" in requested:
         requested = list(CHECKS)
     _guard(ns[-1], args.max_n)
     lows = []

@@ -13,8 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import nlargest
+from typing import Iterable, Iterator
 
 from .partitions import (
     Partition,
@@ -25,7 +25,7 @@ from .partitions import (
     lambda_up,
 )
 from .report import FAIL, PASS, Inequality, VerificationReport
-from .spectrum import cached_spectrum, degree_table
+from .spectrum import cached_spectrum, degree_table, derived_data
 
 PathComponent = tuple[Partition, ...]
 
@@ -54,21 +54,34 @@ def vertex_degree(parts: Partition) -> int:
     return up + dn
 
 
+def _is_top(parts: Partition) -> bool:
+    """True when λ_up is undefined, so ``parts`` starts its move path."""
+    return len(parts) < 2 or parts[-1] != 1
+
+
+def _paths(tops: Iterable[Partition]) -> Iterator[PathComponent]:
+    """The move path from each top down along λ_dn, in the order of ``tops``."""
+    for lam in tops:
+        path = [lam]
+        while (lam := lambda_dn(lam)) is not None:
+            path.append(lam)
+        yield tuple(path)
+
+
+def _table_paths(table: dict[Partition, int]) -> Iterator[PathComponent]:
+    """The components of ``build_graph``, in its order, walked from the
+    tops among the degree table's keys instead of a second enumeration."""
+    return _paths(sorted(filter(_is_top, table), reverse=True))
+
+
 def build_graph(n: int) -> PartitionGraph:
     """All partitions of n decomposed into maximal move paths."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    components: list[PathComponent] = []
-    for lam in enumerate_partitions(n):
-        if len(lam) >= 2 and lam[-1] == 1:
-            continue  # λ_up is defined, so lam is not the top of its path
-        # λ_up raises the first part, so a path's top comes first in
-        # enumeration order and components keep that order
-        path = [lam]
-        while (lam := lambda_dn(lam)) is not None:
-            path.append(lam)
-        components.append(tuple(path))
-    return PartitionGraph(n, tuple(components))
+    # λ_up raises the first part, so a path's top comes first in
+    # enumeration order and components keep that order
+    tops = filter(_is_top, enumerate_partitions(n))
+    return PartitionGraph(n, tuple(_paths(tops)))
 
 
 def graph_structure_check(n: int) -> VerificationReport:
@@ -111,7 +124,7 @@ def component_class_check(n: int) -> VerificationReport:
     table = degree_table(n)
     worst = 0
     witness: tuple = ()
-    for comp in build_graph(n).components:
+    for comp in _table_paths(table):
         counts: dict[int, int] = {}
         for v in comp:
             d = table[v]
@@ -143,7 +156,7 @@ def local_extrema_check(n: int) -> VerificationReport:
     violations: list[str] = []
     ties = 0
     tie_samples: list[str] = []
-    for comp in build_graph(n).components:
+    for comp in _table_paths(table):
         ds = [table[v] for v in comp]
         for i in range(1, len(ds) - 1):
             if ds[i - 1] > ds[i] < ds[i + 1]:
@@ -183,7 +196,7 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     table = degree_table(n)
     violations: list[tuple[Partition, Fraction]] = []
     interior = 0
-    for comp in build_graph(n).components:
+    for comp in _table_paths(table):
         ds = [table[v] for v in comp]
         for i in range(1, len(ds) - 1):
             interior += 1
@@ -215,7 +228,6 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     )
 
 
-@lru_cache(maxsize=1)
 def _class_counts(n: int):
     """Per-class data for the counting checks.
 
@@ -223,10 +235,18 @@ def _class_counts(n: int):
     low_degree_members) where classes are indexed 0-based in decreasing
     degree order and prefix_sizes[r] counts characters of strictly larger
     degree.  low_degree_members maps a class index to its members in table
-    order, for classes that have any; a report samples the first three in
-    enumeration order, which is descending.  Like the degree table, only
-    the most recent n is held.
+    order, for classes that have any; a report samples the three largest.
+    Like the degree table, only the most recent n is held: the data lives
+    with the store and is dropped with it.
     """
+    derived = derived_data(n)
+    counts = derived.get("class_counts")
+    if counts is None:
+        counts = derived["class_counts"] = _compute_class_counts(n)
+    return counts
+
+
+def _compute_class_counts(n: int):
     spec = cached_spectrum("S", n)
     degrees = [c.degree for c in spec.classes]
     sizes = [c.size for c in spec.classes]

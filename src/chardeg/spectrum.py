@@ -11,6 +11,7 @@ always sound.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +44,7 @@ DEFAULT_MAX_N = 60
 MEMBER_CAP = 40
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DegreeClass:
     """One distinct degree with the partitions that realize it.
 
@@ -52,6 +53,10 @@ class DegreeClass:
     alternating group, members are conjugacy representatives and ``splits``
     records how many characters each representative contributes (2 for a
     self-conjugate partition, else 1); ``size`` counts characters.
+
+    Not frozen, because a spectrum builds one per distinct degree and a
+    frozen dataclass costs about three times as much to construct; treat
+    the fields as read-only.
     """
 
     degree: int
@@ -122,40 +127,45 @@ class _Classes:
     """Characters per degree for one group, with the members of every degree
     or only of the two largest degrees added so far.
 
-    A member is a partition, or for the alternating group a
-    (representative, characters) pair.  A degree that drops out of the top
-    two loses its members at once.
+    ``classes`` maps a degree to [characters, members], where members is a
+    list, or None for a degree whose members are not kept.  A member is a
+    partition, or for the alternating group a (representative, characters)
+    pair.  A degree that drops out of the top two loses its members at once.
     """
 
-    __slots__ = ("counts", "members", "all_members")
+    __slots__ = ("classes", "all_members", "top")
 
     def __init__(self, all_members: bool):
-        self.counts: dict[int, int] = {}
-        self.members: dict[int, list] = {}
+        self.classes: dict[int, list] = {}
         self.all_members = all_members
+        self.top: list[int] = []  # the degrees with members, when not all are kept
 
     def add(self, degree: int, chars: int, members) -> None:
-        counts = self.counts
-        if degree in counts:
-            counts[degree] += chars
-        else:
-            counts[degree] = chars
-            kept = self.members
-            if self.all_members:
-                kept[degree] = []
-            elif len(kept) < 2 or degree > min(kept):
-                kept[degree] = []
-                if len(kept) > 2:
-                    del kept[min(kept)]
-        kept_members = self.members.get(degree)
-        if kept_members is not None:
-            kept_members.extend(members)
+        entry = self.classes.get(degree)
+        if entry is not None:
+            entry[0] += chars
+            if entry[1] is not None:
+                entry[1].extend(members)
+            return
+        kept = None
+        top = self.top
+        if self.all_members:
+            kept = list(members)
+        elif len(top) < 2 or degree > min(top):
+            if len(top) == 2:
+                dropped = min(top)
+                top.remove(dropped)
+                self.classes[dropped][1] = None
+            top.append(degree)
+            kept = list(members)
+        self.classes[degree] = [chars, kept]
 
 
 def _pair_shard(
     n: int, first_parts, groups: str, all_members: bool, table: dict | None = None
-) -> dict[str, tuple[dict, dict]]:
-    """Degrees over the partitions of n whose largest part is in ``first_parts``.
+) -> dict[str, dict[int, list]]:
+    """Degrees over the partitions of n whose largest part is in
+    ``first_parts``, or over every partition of n when it is None.
 
     Visits one representative per conjugate pair: λ is skipped when it has
     more parts than its first part, because its conjugate, which has a
@@ -163,9 +173,9 @@ def _pair_shard(
     λ >= λ'.  Each representative costs one conjugate, one hook product
     and one exact division, since conjugates share the hook product.
 
-    Returns group -> (degree -> characters, degree -> members) for each
-    group in ``groups``.  In the symmetric group a pair counts twice and
-    both partitions are members; in the alternating group a self-conjugate
+    Returns group -> ``_Classes.classes`` for each group in ``groups``.  In
+    the symmetric group a pair counts twice and both partitions are
+    members, λ before λ'; in the alternating group a self-conjugate
     representative splits into two characters of half the degree.  With
     ``table`` given, both partitions of every pair are entered in it with
     their symmetric-group degree.
@@ -173,7 +183,11 @@ def _pair_shard(
     fact = factorial(n)
     sym = _Classes(all_members) if "S" in groups else None
     alt = _Classes(all_members) if "A" in groups else None
-    for lam in _shard_partitions(n, first_parts):
+    if first_parts is None:
+        partitions = enumerate_partitions(n)
+    else:
+        partitions = _shard_partitions(n, first_parts)
+    for lam in partitions:
         rows = len(lam)
         if rows > lam[0]:
             continue
@@ -199,19 +213,31 @@ def _pair_shard(
                 sym.add(d, 2, (lam, conj))
             if alt is not None:
                 alt.add(d, 1, ((lam, 1),))
-    return {g: (c.counts, c.members) for g, c in (("S", sym), ("A", alt)) if c is not None}
+    return {g: c.classes for g, c in (("S", sym), ("A", alt)) if c is not None}
 
 
-def _spectrum(n: int, group: str, classes: tuple[dict, dict], all_members: bool) -> DegreeSpectrum:
-    counts, members = classes
+def _spectrum(n: int, group: str, classes: dict[int, list], all_members: bool) -> DegreeSpectrum:
+    """The spectrum of ``_Classes.classes``, members in descending order.
+
+    Members are sorted only where a class has more than one representative:
+    one conjugate pair already arrives as (λ, λ'), and λ > λ'.
+    """
     out = []
-    for deg in sorted(counts, reverse=True):
-        kept = sorted(members.get(deg, ()), reverse=True)
-        if group == "A":
-            out.append(DegreeClass(deg, counts[deg], tuple(p for p, _s in kept),
-                                   tuple(s for _p, s in kept)))
+    for deg in sorted(classes, reverse=True):
+        size, kept = classes[deg]
+        if kept is None:
+            out.append(DegreeClass(deg, size, ()))
+        elif group == "S":
+            if len(kept) > 2 or (len(kept) == 2 and kept[0] < kept[1]):
+                kept.sort(reverse=True)
+            out.append(DegreeClass(deg, size, tuple(kept)))
+        elif len(kept) == 1:
+            lam, splits = kept[0]
+            out.append(DegreeClass(deg, size, (lam,), (splits,)))
         else:
-            out.append(DegreeClass(deg, counts[deg], tuple(kept)))
+            kept.sort(reverse=True)
+            members, splits = zip(*kept)
+            out.append(DegreeClass(deg, size, members, splits))
     return _check_mass(DegreeSpectrum(n, group, tuple(out), all_members))
 
 
@@ -232,12 +258,11 @@ def _build_spectrum(n: int, group: str, threads: int, all_members: bool) -> Degr
             shards = pool.map(_pair_shard, [n] * n, [(m,) for m in range(n, 0, -1)],
                               [group] * n, [all_members] * n, chunksize=4)
             for shard in shards:
-                counts, members = shard[group]
-                for deg, chars in counts.items():
-                    merged.add(deg, chars, members.get(deg, ()))
-        classes = merged.counts, merged.members
+                for deg, (chars, members) in shard[group].items():
+                    merged.add(deg, chars, members or ())
+        classes = merged.classes
     else:
-        classes = _pair_shard(n, range(n, 0, -1), group, all_members)[group]
+        classes = _pair_shard(n, None, group, all_members)[group]
     return _spectrum(n, group, classes, all_members)
 
 
@@ -279,20 +304,32 @@ def spectrum_an(
 
 # the current n's degree table and its spectra, replaced when another n is built
 _store: tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]] | None = None
+# what other modules derive from the current n's store, dropped with it
+_derived: dict[str, object] = {}
 
 
 def _current(n: int) -> tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]]:
     """The store for n, built by one sequential pass over the conjugate-pair
-    representatives unless it already holds n."""
+    representatives unless it already holds n.
+
+    The pass allocates about one tuple per partition and no reference
+    cycles, so the cyclic garbage collector is paused while it runs."""
     global _store
     if _store is None or _store[0] != n:
         _check_n(n, 1, DEFAULT_MAX_N)
-        _store = None  # drop the previous n before building this one
+        clear_spectrum_cache()  # drop the previous n before building this one
         groups = "SA" if n >= 2 else "S"
         all_members = n <= MEMBER_CAP
         table: dict[Partition, int] = {}
-        classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table)
-        _store = (n, table, {g: _spectrum(n, g, classes[g], all_members) for g in groups})
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            classes = _pair_shard(n, None, groups, all_members, table)
+            spectra = {g: _spectrum(n, g, classes[g], all_members) for g in groups}
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        _store = (n, table, spectra)
     return _store
 
 
@@ -311,9 +348,18 @@ def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
     return _current(n)[2][group]
 
 
+def derived_data(n: int) -> dict[str, object]:
+    """A dict for data derived from n's store, emptied when the store moves
+    to another n or is cleared."""
+    _current(n)
+    return _derived
+
+
 def clear_spectrum_cache() -> None:
+    """Drop the store and everything derived from it."""
     global _store
     _store = None
+    _derived.clear()
 
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:

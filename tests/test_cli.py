@@ -311,13 +311,12 @@ class TestVerifyCmd:
         for module in (chardeg, hooks, spectrum, graph, cli):
             if getattr(module, "hook_product", None) is real:
                 monkeypatch.setattr(module, "hook_product", counted)
+        # clearing the store also drops the counting checks' class data
         spectrum.clear_spectrum_cache()
-        graph._class_counts.cache_clear()
         try:
             code, _, _ = run(capsys, "verify", "--range", "5..12", "--checks", "all")
         finally:
             spectrum.clear_spectrum_cache()
-            graph._class_counts.cache_clear()
         assert code == 0
         representatives = {
             lam for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
@@ -340,6 +339,18 @@ class TestVerifyCmd:
         assert spectrum.cached_spectrum("S", 5) == spectrum_sn(5)
         assert spectrum._store[0] == 5
 
+    def test_ratio_lemma_never_builds_the_graph(self, capsys, monkeypatch):
+        from chardeg import graph
+
+        def no_graph(n):
+            raise AssertionError("ratio-lemma built the move graph")
+
+        monkeypatch.setattr(graph, "build_graph", no_graph)
+        monkeypatch.setattr(cli, "build_graph", no_graph)
+        code, out, _ = run(capsys, "verify", "--range", "1..14", "--checks", "ratio-lemma")
+        assert code == 0
+        assert out.count("PASS") == 14
+
     def test_induced_bound_above_member_cap(self, capsys):
         # above the member cap the alternating branch reads the members of
         # the second symmetric class
@@ -356,6 +367,12 @@ class TestVerifyCmd:
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7", "--checks", "bogus")
         assert code == 2 and "unknown check" in err
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_empty_checks_rejected(self, capsys, checks):
+        code, out, err = run(capsys, "verify", "--n", "7", "--checks", checks)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "names no check" in err
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
         from chardeg.report import FAIL, Inequality, VerificationReport

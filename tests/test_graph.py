@@ -2,6 +2,7 @@
 
 import pytest
 
+from chardeg import graph, spectrum
 from chardeg import (
     build_graph,
     component_class_check,
@@ -20,6 +21,7 @@ from chardeg import (
     vertex_degree,
 )
 from chardeg.serialize import graph_from_doc, graph_to_doc, graph_to_dot
+from chardeg.spectrum import degree_table
 
 
 def union_find_components(n):
@@ -145,6 +147,11 @@ class TestRatioLemma:
         for n in range(1, 26):
             assert ratio_lemma_check(n).passed
 
+    def test_table_paths_equal_build_graph(self):
+        # the ratio lemma walks its paths from the degree table's tops
+        for n in range(1, 26):
+            assert tuple(graph._table_paths(degree_table(n))) == build_graph(n).components
+
 
 class TestCountChecks:
     def test_low_degree_examples(self):
@@ -160,6 +167,17 @@ class TestCountChecks:
         assert rep.inequalities[0].right == 1
         assert near_max_count_check(7, 1).passed
         assert near_max_count_check(12, 2).passed
+
+    def test_class_counts_die_with_the_store(self):
+        spectrum.clear_spectrum_cache()
+        counts = graph._class_counts(9)
+        assert graph._class_counts(9) is counts
+        assert spectrum._derived == {"class_counts": counts}
+        degree_table(10)  # the store moves to n = 10
+        assert spectrum._derived == {}
+        graph._class_counts(10)
+        spectrum.clear_spectrum_cache()
+        assert spectrum._derived == {}
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Spectra, the dominance theorems, branching, scans, and the excess bounds."""
 
+import gc
 from fractions import Fraction
 from math import factorial
 
@@ -22,8 +23,9 @@ from chardeg import (
     verify_theorem1,
     verify_theorem2,
 )
+from chardeg import spectrum
 from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, VerificationReport
-from chardeg.spectrum import degree_table, pool_size
+from chardeg.spectrum import MEMBER_CAP, degree_table, pool_size
 
 
 class TestSpectrumSn:
@@ -106,6 +108,30 @@ class TestDegreeTable:
             s_members = {lam for c in cached_spectrum("S", n).classes for lam in c.members}
             assert s_members == set(table)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_gc_state_as_found(self, enabled):
+        set_gc = {True: gc.enable, False: gc.disable}
+        was = gc.isenabled()
+        try:
+            set_gc[enabled]()
+            spectrum.clear_spectrum_cache()
+            degree_table(12)
+            assert gc.isenabled() is enabled
+        finally:
+            set_gc[was]()
+
+    def test_restores_gc_when_the_pass_raises(self, monkeypatch):
+        def broken(parts, conj=None):
+            raise ArithmeticError("hook product failed")
+
+        monkeypatch.setattr(spectrum, "hook_product", broken)
+        spectrum.clear_spectrum_cache()
+        assert gc.isenabled()
+        with pytest.raises(ArithmeticError):
+            degree_table(12)
+        assert gc.isenabled()
+        assert spectrum._store is None
+
     def test_guards(self):
         with pytest.raises(ValueError):
             degree_table(0)
@@ -113,6 +139,38 @@ class TestDegreeTable:
             degree_table(61)
         with pytest.raises(ValueError):
             cached_spectrum("A", 1)
+
+
+def assert_members_descending(spec):
+    for c in spec.classes:
+        assert all(a > b for a, b in zip(c.members, c.members[1:])), (spec.group, spec.n, c)
+
+
+class TestMembersDescending:
+    """Members are sorted only where a class has more than one
+    representative; every class must still list them strictly descending."""
+
+    @pytest.mark.parametrize("member_cap", [MEMBER_CAP, 5])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_built_spectra(self, threads, member_cap):
+        for n in range(1, 23):
+            assert_members_descending(spectrum_sn(n, threads=threads, member_cap=member_cap))
+            if n >= 2:
+                assert_members_descending(spectrum_an(n, threads=threads, member_cap=member_cap))
+
+    def test_store_spectra(self):
+        for n in range(2, 23):
+            assert_members_descending(cached_spectrum("S", n))
+            assert_members_descending(cached_spectrum("A", n))
+
+    def test_any_arrival_order(self):
+        # members arriving in reverse, a pair as (λ', λ), are still sorted
+        for n in range(2, 23):
+            classes = spectrum._pair_shard(n, None, "SA", True)
+            for group, build in (("S", spectrum_sn), ("A", spectrum_an)):
+                for _size, kept in classes[group].values():
+                    kept.reverse()
+                assert spectrum._spectrum(n, group, classes[group], True) == build(n)
 
 
 class TestPoolSize:
