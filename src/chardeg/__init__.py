@@ -41,9 +41,6 @@ from .partitions import (
 from .graph import (
     PartitionGraph,
     build_graph,
-    component_class_check,
-    graph_structure_check,
-    local_extrema_check,
     low_degree_count_check,
     low_degree_count_check_all,
     near_max_count_check,

@@ -1,10 +1,10 @@
 """On-disk cache of computed spectra.
 
 One JSON file per (group, n), keyed by schema version.  Entries whose
-schema does not match, that fail to parse, or that violate the spectrum
-mass invariant are silently recomputed; the cache can speed things up but
-must never change a result.  Writes go through a temp file and an atomic
-rename.  An entry holds only the schema, the producer and the spectrum, so
+schema does not match, that fail to parse, that violate the spectrum mass
+invariant, or that store other members than a fresh build would are
+silently recomputed; the cache can speed things up but must never change
+a result.  Writes go through a temp file and an atomic rename.  An entry holds only the schema, the producer and the spectrum, so
 its bytes depend on nothing but the result.
 """
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .serialize import SCHEMA_VERSION, spectrum_from_doc, spectrum_to_doc
-from .spectrum import DegreeSpectrum
+from .spectrum import DegreeSpectrum, has_built_members
 
 
 def cache_path(cache_dir: str | Path, group: str, n: int) -> Path:
@@ -33,8 +33,8 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
         spec = spectrum_from_doc(entry["spectrum"])
         if spec.group != group.upper() or spec.n != n:
             return None
-        if not all(c.complete for c in spec.classes[:2]):
-            return None  # the checks read the members of the top two classes
+        if not has_built_members(spec):
+            return None  # a hit must print what a fresh build prints
         return spec
     except (OSError, ValueError, KeyError, TypeError):
         return None

@@ -73,6 +73,15 @@ def _guard(n: int, max_n: int) -> None:
         raise UsageError(f"n={n} exceeds the resource guard --max-n {max_n}")
 
 
+def _store_guard(max_n: int) -> None:
+    """verify and scan read the per-n store, which stops at DEFAULT_MAX_N."""
+    if max_n > DEFAULT_MAX_N:
+        raise UsageError(
+            f"--max-n {max_n} is above {DEFAULT_MAX_N}, the ceiling of the per-n "
+            f"store that verify and scan read"
+        )
+
+
 def cmd_degree(args: argparse.Namespace) -> int:
     parts = parse_partition(args.partition, max_n=args.max_n)
     n = sum(parts)
@@ -206,6 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.threads != 1:
         raise UsageError("verify runs in one process, so --threads must be 1; "
                          "only spectrum starts workers")
+    _store_guard(args.max_n)
     if args.n_range is not None:
         lo, hi = _parse_range(args.n_range)
         ns = range(lo, hi + 1)
@@ -253,6 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.n < 5:
         raise UsageError("scan starts at n = 5; give --n of at least 5")
+    _store_guard(args.max_n)
     _guard(args.n, args.max_n)
     out = Path(args.out)
     rows = ["n,b_s,m1,b_a,ba_equals_bs,eps_s,eps_s_decimal,eps_a,eps_a_decimal,x,y"]

@@ -10,7 +10,6 @@ ordered by their earliest vertex in descending lexicographic order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nlargest
@@ -84,103 +83,6 @@ def build_graph(n: int) -> PartitionGraph:
     return PartitionGraph(n, tuple(_paths(tops)))
 
 
-def graph_structure_check(n: int) -> VerificationReport:
-    """Degree bound, adjacency symmetry, simple-path decomposition, coverage."""
-    t0 = time.perf_counter()
-    graph = build_graph(n)
-    seen: set[Partition] = set()
-    bad: list[str] = []
-    for comp in graph.components:
-        for idx, v in enumerate(comp):
-            if v in seen:
-                bad.append(f"vertex repeated: {format_partition(v)}")
-            seen.add(v)
-            up, dn = lambda_up(v), lambda_dn(v)
-            if up is not None and lambda_dn(up) != v:
-                bad.append(f"asymmetric up edge at {format_partition(v)}")
-            if dn is not None and lambda_up(dn) != v:
-                bad.append(f"asymmetric down edge at {format_partition(v)}")
-            if vertex_degree(v) > 2:
-                bad.append(f"degree above 2 at {format_partition(v)}")
-            if idx + 1 < len(comp) and lambda_dn(v) != comp[idx + 1]:
-                bad.append(f"non-adjacent consecutive vertices at {format_partition(v)}")
-        if lambda_up(comp[0]) is not None or lambda_dn(comp[-1]) is not None:
-            bad.append(f"path endpoints not maximal in component of {format_partition(comp[0])}")
-    ineq = Inequality("vertices-covered", len(seen), "==", count_partitions(n))
-    ok = not bad and ineq.holds()
-    return VerificationReport(
-        check="graph-structure",
-        n=n,
-        status=PASS if ok else FAIL,
-        inequalities=(ineq,),
-        notes=tuple(bad[:10]),
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def component_class_check(n: int) -> VerificationReport:
-    """No component meets any fixed-degree class in more than two vertices."""
-    t0 = time.perf_counter()
-    table = degree_table(n)
-    worst = 0
-    witness: tuple = ()
-    for comp in _table_paths(table):
-        counts: dict[int, int] = {}
-        for v in comp:
-            d = table[v]
-            c = counts.get(d, 0) + 1
-            counts[d] = c
-            if c > worst:
-                worst = c
-                witness = (v,)
-    ineq = Inequality("max-class-hits-per-component", worst, "<=", 2)
-    return VerificationReport(
-        check="component-class-intersection",
-        n=n,
-        status=PASS if ineq.holds() else FAIL,
-        inequalities=(ineq,),
-        witnesses=witness,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def local_extrema_check(n: int) -> VerificationReport:
-    """No interior strict local maximum of the hook product along any path,
-    and no constant stretch of three or more vertices.  Adjacent ties are
-    legitimate (conjugate pairs meet mid-path) and only reported.
-
-    The hook product is n! over the degree, so its local maxima are the
-    degree's local minima."""
-    t0 = time.perf_counter()
-    table = degree_table(n)
-    violations: list[str] = []
-    ties = 0
-    tie_samples: list[str] = []
-    for comp in _table_paths(table):
-        ds = [table[v] for v in comp]
-        for i in range(1, len(ds) - 1):
-            if ds[i - 1] > ds[i] < ds[i + 1]:
-                violations.append(f"strict local maximum at {format_partition(comp[i])}")
-            if ds[i - 1] == ds[i] == ds[i + 1]:
-                violations.append(f"constant stretch at {format_partition(comp[i])}")
-        for i in range(len(ds) - 1):
-            if ds[i] == ds[i + 1]:
-                ties += 1
-                if len(tie_samples) < 5:
-                    tie_samples.append(
-                        f"tie {format_partition(comp[i])} | {format_partition(comp[i + 1])}"
-                    )
-    ineq = Inequality("interior-extrema-violations", len(violations), "==", 0)
-    return VerificationReport(
-        check="local-extrema",
-        n=n,
-        status=PASS if ineq.holds() else FAIL,
-        inequalities=(ineq,),
-        notes=tuple(violations[:10]) + (f"adjacent-ties={ties}",) + tuple(tie_samples),
-        elapsed=time.perf_counter() - t0,
-    )
-
-
 def ratio_lemma_check(n: int) -> VerificationReport:
     """Strict bounds 1 < H(dn)H(up)/H^2 < 4 at every two-neighbor vertex.
 
@@ -190,13 +92,15 @@ def ratio_lemma_check(n: int) -> VerificationReport:
 
     With H = n!/d the ratio is d^2 / (d(up) d(dn)), so the bounds are
     compared on degrees in integers; a Fraction is made only for a
-    violation.
+    violation.  A pass covers every vertex only if the paths cover every
+    partition of n, so a walk that misses one raises ArithmeticError.
     """
-    t0 = time.perf_counter()
     table = degree_table(n)
     violations: list[tuple[Partition, Fraction]] = []
     interior = 0
+    visited = 0
     for comp in _table_paths(table):
+        visited += len(comp)
         ds = [table[v] for v in comp]
         for i in range(1, len(ds) - 1):
             interior += 1
@@ -204,6 +108,10 @@ def ratio_lemma_check(n: int) -> VerificationReport:
             neighbors_product = ds[i - 1] * ds[i + 1]
             if not neighbors_product < square < 4 * neighbors_product:
                 violations.append((comp[i], Fraction(square, neighbors_product)))
+    if visited != count_partitions(n):
+        raise ArithmeticError(
+            f"move paths of {n} cover {visited} of {count_partitions(n)} partitions"
+        )
     boundary = n == 3 and violations == [((2, 1), Fraction(4))]
     ineq = Inequality(
         "ratio-violations", len(violations) - (1 if boundary else 0), "==", 0
@@ -224,7 +132,6 @@ def ratio_lemma_check(n: int) -> VerificationReport:
         inequalities=(ineq,),
         witnesses=tuple(v for v, _r in violations[:10]),
         notes=tuple(notes),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -281,7 +188,6 @@ def _compute_class_counts(n: int):
 def low_degree_count_check(n: int, r: int) -> VerificationReport:
     """At most 2 |M_1 ∪ ... ∪ M_{r-1}| partitions of the r-th degree class
     have fewer than two move neighbors; for r = 1 that means none at all."""
-    t0 = time.perf_counter()
     degrees, sizes, prefix, low_counts, _in_range, low_members = _class_counts(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
@@ -298,14 +204,12 @@ def low_degree_count_check(n: int, r: int) -> VerificationReport:
         inequalities=tuple(ineqs),
         witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
         notes=(f"r={r}", f"|M_r|={sizes[r - 1]}"),
-        elapsed=time.perf_counter() - t0,
     )
 
 
 def near_max_count_check(n: int, r: int) -> VerificationReport:
     """At least |M_r| - 4 |M_1 ∪ ... ∪ M_{r-1}| characters have degree
     strictly between b_r/4 and b_r, compared in exact arithmetic."""
-    t0 = time.perf_counter()
     degrees, sizes, prefix, _low, in_range, _members = _class_counts(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
@@ -318,14 +222,12 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
         status=PASS if ineq.holds() else FAIL,
         inequalities=(ineq,),
         notes=(f"r={r}", f"b_r={degrees[r - 1]}"),
-        elapsed=time.perf_counter() - t0,
     )
 
 
 def low_degree_count_check_all(n: int) -> VerificationReport:
     """The low-degree counting bound over every class at once; the recorded
     inequality is the tightest class."""
-    t0 = time.perf_counter()
     degrees, sizes, prefix, low_counts, _in_range, low_members = _class_counts(n)
     m = len(degrees)
     failures = [r for r in range(1, m + 1) if low_counts[r - 1] > 2 * prefix[r - 1]]
@@ -352,13 +254,11 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
         inequalities=tuple(ineqs),
         witnesses=tuple(nlargest(3, low_members.get(tightest - 1, ()))),
         notes=tuple(notes),
-        elapsed=time.perf_counter() - t0,
     )
 
 
 def near_max_count_check_all(n: int) -> VerificationReport:
     """The near-top counting bound over every class at once."""
-    t0 = time.perf_counter()
     degrees, sizes, prefix, _low, in_range, _members = _class_counts(n)
     m = len(degrees)
     failures = [
@@ -382,5 +282,4 @@ def near_max_count_check_all(n: int) -> VerificationReport:
         status=status,
         inequalities=(ineq,),
         notes=tuple(notes),
-        elapsed=time.perf_counter() - t0,
     )

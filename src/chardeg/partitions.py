@@ -29,14 +29,6 @@ def is_partition(parts) -> bool:
     return True
 
 
-def check_partition(parts) -> Partition:
-    """Return ``parts`` as a tuple, raising ValueError if it is not a partition."""
-    t = tuple(parts)
-    if not is_partition(t):
-        raise ValueError(f"not a partition: {t!r}")
-    return t
-
-
 def format_partition(parts: Partition) -> str:
     """Canonical text form: comma separated parts, e.g. '4,2,1'."""
     return ",".join(str(p) for p in parts)

@@ -57,7 +57,6 @@ class VerificationReport:
     inequalities: tuple[Inequality, ...] = ()
     witnesses: tuple = ()
     notes: tuple[str, ...] = ()
-    elapsed: float = 0.0
 
     def __post_init__(self) -> None:
         if self.status in (PASS, FAIL) and not self.inequalities:

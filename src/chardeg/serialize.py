@@ -12,7 +12,6 @@ counts.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exact import decimal_str
 from .graph import PartitionGraph
@@ -21,10 +20,6 @@ from .report import VerificationReport
 from .spectrum import DegreeClass, DegreeSpectrum, epsilon
 
 SCHEMA_VERSION = 1
-
-
-def exact_str(value: int | Fraction) -> str:
-    return str(value)
 
 
 def csv_partition(parts: Partition) -> str:
@@ -56,7 +51,7 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
         "group": spec.group,
         "n": spec.n,
         "b": str(spec.b),
-        "epsilon": exact_str(eps),
+        "epsilon": str(eps),
         "epsilon_decimal": decimal_str(eps),
         "members_complete": spec.members_complete,
         "classes": classes,
@@ -89,7 +84,7 @@ def spectrum_to_csv(spec: DegreeSpectrum) -> str:
         splits = ";".join(str(s) for s in c.splits)
         lines.append(f"{c.degree},{c.size},{csv_partition_list(c.members)},{splits}")
     eps = epsilon(spec)
-    lines.append(f"epsilon,{exact_str(eps)},{decimal_str(eps)},")
+    lines.append(f"epsilon,{eps},{decimal_str(eps)},")
     return "\n".join(lines) + "\n"
 
 
@@ -115,8 +110,6 @@ def spectrum_to_text(spec: DegreeSpectrum) -> str:
 
 
 def report_to_doc(report: VerificationReport) -> dict:
-    # elapsed time is deliberately not serialized: documents must be
-    # byte-identical across runs
     return {
         "schema": SCHEMA_VERSION,
         "check": report.check,
@@ -125,9 +118,9 @@ def report_to_doc(report: VerificationReport) -> dict:
         "inequalities": [
             {
                 "label": q.label,
-                "left": exact_str(q.left),
+                "left": str(q.left),
                 "relation": q.relation,
-                "right": exact_str(q.right),
+                "right": str(q.right),
             }
             for q in report.inequalities
         ],

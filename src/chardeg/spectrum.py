@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,12 +97,6 @@ class DegreeSpectrum:
     def mass(self) -> int:
         return sum(c.size * c.degree * c.degree for c in self.classes)
 
-    def multiplicity_of(self, degree: int) -> int:
-        for c in self.classes:
-            if c.degree == degree:
-                return c.size
-        return 0
-
     def sum_squares_below_top(self) -> int:
         return self.group_order() - self.m1_size * self.b * self.b
 
@@ -115,12 +108,6 @@ def _check_mass(spec: DegreeSpectrum) -> DegreeSpectrum:
             f"{spec.mass()} != {spec.group_order()}"
         )
     return spec
-
-
-def _shard_partitions(n: int, first_parts):
-    for first_part in first_parts:
-        for rest in enumerate_partitions(n - first_part, max_part=first_part):
-            yield (first_part,) + rest
 
 
 class _Classes:
@@ -162,10 +149,10 @@ class _Classes:
 
 
 def _pair_shard(
-    n: int, first_parts, groups: str, all_members: bool, table: dict | None = None
+    n: int, first_part: int | None, groups: str, all_members: bool, table: dict | None = None
 ) -> dict[str, dict[int, list]]:
     """Degrees over the partitions of n whose largest part is in
-    ``first_parts``, or over every partition of n when it is None.
+    is ``first_part``, or over every partition of n when it is None.
 
     Visits one representative per conjugate pair: λ is skipped when it has
     more parts than its first part, because its conjugate, which has a
@@ -183,10 +170,13 @@ def _pair_shard(
     fact = factorial(n)
     sym = _Classes(all_members) if "S" in groups else None
     alt = _Classes(all_members) if "A" in groups else None
-    if first_parts is None:
+    if first_part is None:
         partitions = enumerate_partitions(n)
     else:
-        partitions = _shard_partitions(n, first_parts)
+        partitions = (
+            (first_part,) + rest
+            for rest in enumerate_partitions(n - first_part, max_part=first_part)
+        )
     for lam in partitions:
         rows = len(lam)
         if rows > lam[0]:
@@ -248,14 +238,15 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
     return max(1, min(threads, shards, cpus or 1))
 
 
-def _build_spectrum(n: int, group: str, threads: int, all_members: bool) -> DegreeSpectrum:
+def _build_spectrum(n: int, group: str, threads: int) -> DegreeSpectrum:
+    all_members = n <= MEMBER_CAP
     workers = pool_size(threads, n, os.cpu_count())
     if workers > 1 and n >= 18:
         # each shard keeps its own top two degrees, so merging keeps the
         # global top two; shards are merged, and dropped, as they arrive
         merged = _Classes(all_members)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = pool.map(_pair_shard, [n] * n, [(m,) for m in range(n, 0, -1)],
+            shards = pool.map(_pair_shard, [n] * n, range(n, 0, -1),
                               [group] * n, [all_members] * n, chunksize=4)
             for shard in shards:
                 for deg, (chars, members) in shard[group].items():
@@ -273,33 +264,33 @@ def _check_n(n: int, lo: int, max_n: int) -> None:
         raise ValueError(f"n={n} exceeds the configured maximum {max_n}")
 
 
-def spectrum_sn(
-    n: int,
-    *,
-    threads: int = 1,
-    max_n: int = DEFAULT_MAX_N,
-    member_cap: int = MEMBER_CAP,
-) -> DegreeSpectrum:
+def spectrum_sn(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> DegreeSpectrum:
     """Complete exact degree spectrum of the symmetric group on n points.
 
-    Member partitions are stored for every class when n <= member_cap and
+    Member partitions are stored for every class when n <= MEMBER_CAP and
     only for the top two classes above it.  The result is deterministic and
     independent of the worker count.
     """
     _check_n(n, 1, max_n)
-    return _build_spectrum(n, "S", threads, all_members=n <= member_cap)
+    return _build_spectrum(n, "S", threads)
 
 
-def spectrum_an(
-    n: int,
-    *,
-    threads: int = 1,
-    max_n: int = DEFAULT_MAX_N,
-    member_cap: int = MEMBER_CAP,
-) -> DegreeSpectrum:
+def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> DegreeSpectrum:
     """Complete exact degree spectrum of the alternating group on n points."""
     _check_n(n, 2, max_n)
-    return _build_spectrum(n, "A", threads, all_members=n <= member_cap)
+    return _build_spectrum(n, "A", threads)
+
+
+def has_built_members(spec: DegreeSpectrum) -> bool:
+    """True when ``spec`` stores the members that ``spectrum_sn`` and
+    ``spectrum_an`` store for its n: those of every class when
+    n <= MEMBER_CAP, else those of the top two classes and no others."""
+    if spec.members_complete != (spec.n <= MEMBER_CAP):
+        return False
+    if spec.members_complete:
+        return all(c.complete for c in spec.classes)
+    top, rest = spec.classes[:2], spec.classes[2:]
+    return all(c.complete for c in top) and not any(c.members or c.splits for c in rest)
 
 
 # the current n's degree table and its spectra, replaced when another n is built
@@ -389,7 +380,6 @@ def verify_theorem2(n: int, *, override_domain: bool = False) -> VerificationRep
     """Squared degrees below b(S_n) dominate twice its square (stated n >= 7)."""
     if n < 7 and not override_domain:
         raise ValueError("theorem2 is stated for n >= 7 (use override to force)")
-    t0 = time.perf_counter()
     spec = cached_spectrum("S", n)
     left = spec.sum_squares_below_top()
     right = 2 * spec.b * spec.b
@@ -405,7 +395,6 @@ def verify_theorem2(n: int, *, override_domain: bool = False) -> VerificationRep
         inequalities=(ineq,),
         witnesses=spec.maximizers,
         notes=(f"b={spec.b}", f"|M_1|={spec.m1_size}"),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -413,7 +402,6 @@ def verify_theorem1(n: int, *, override_domain: bool = False) -> VerificationRep
     """Squared degrees below b(A_n) dominate its square (stated n >= 5)."""
     if n < 5 and not override_domain:
         raise ValueError("theorem1 is stated for n >= 5 (use override to force)")
-    t0 = time.perf_counter()
     spec = cached_spectrum("A", n)
     left = spec.sum_squares_below_top()
     right = spec.b * spec.b
@@ -429,13 +417,11 @@ def verify_theorem1(n: int, *, override_domain: bool = False) -> VerificationRep
         inequalities=(ineq,),
         witnesses=spec.maximizers,
         notes=(f"b={spec.b}", f"multiplicity={spec.m1_size}"),
-        elapsed=time.perf_counter() - t0,
     )
 
 
 def sandwich_check(n: int) -> VerificationReport:
     """b(S_n)/2 < b(A_n) <= b(S_n); whether equality holds is informational."""
-    t0 = time.perf_counter()
     b_s = cached_spectrum("S", n).b
     b_a = cached_spectrum("A", n).b
     ineqs = (
@@ -449,7 +435,6 @@ def sandwich_check(n: int) -> VerificationReport:
         status=status,
         inequalities=ineqs,
         notes=(f"equality={'true' if b_a == b_s else 'false'}",),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -497,7 +482,6 @@ def induced_bound_check(n: int) -> VerificationReport:
     """
     if n < 5:
         raise ValueError("induced bound check needs n >= 5")
-    t0 = time.perf_counter()
     s_spec = cached_spectrum("S", n)
     b_s = s_spec.b
     root2n = sqrt_upper(2 * n)
@@ -564,7 +548,6 @@ def induced_bound_check(n: int) -> VerificationReport:
         inequalities=records,
         witnesses=tuple(witnesses),
         notes=tuple(notes),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -596,7 +579,6 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
         raise ValueError("symmetric move scan is stated for n >= 7")
     if group == "A" and n < 5:
         raise ValueError("alternating move scan is stated for n >= 5")
-    t0 = time.perf_counter()
     s_spec = cached_spectrum("S", n)
     b_s = s_spec.b
     notes = []
@@ -675,7 +657,6 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
         inequalities=decisive,
         witnesses=witnesses,
         notes=tuple(notes),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -691,7 +672,6 @@ def epsilon_lower_bounds(n: int) -> VerificationReport:
     """
     if n < 5:
         raise ValueError("epsilon bounds need n >= 5")
-    t0 = time.perf_counter()
     s_spec = cached_spectrum("S", n)
     a_spec = cached_spectrum("A", n)
     eps_s = epsilon(s_spec)
@@ -737,5 +717,4 @@ def epsilon_lower_bounds(n: int) -> VerificationReport:
         inequalities=tuple(ineqs),
         witnesses=s_spec.maximizers,
         notes=tuple(notes),
-        elapsed=time.perf_counter() - t0,
     )

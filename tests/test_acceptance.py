@@ -14,13 +14,15 @@ import pytest
 
 from chardeg import (
     branch_decompose,
+    build_graph,
     cli,
-    component_class_check,
+    count_partitions,
     count_standard_tableaux,
     degree_sn,
     enumerate_partitions,
     epsilon_lower_bounds,
-    graph_structure_check,
+    lambda_dn,
+    lambda_up,
     low_degree_count_check_all,
     near_max_count_check_all,
     ratio_lemma_check,
@@ -110,12 +112,17 @@ def test_criterion_07_sandwich():
 
 def test_criterion_08_graph_structure():
     for n in range(1, 41):
-        grep = graph_structure_check(n)
-        assert grep.passed, f"n={n}: {grep.summary()}"
-        crep = component_class_check(n)
-        assert crep.passed, f"n={n}: {crep.summary()}"
-    verdict(8, "move graph has degree <= 2, symmetric adjacency, simple paths, "
-               "and every component meets each degree class at most twice (n<=40)")
+        graph = build_graph(n)
+        seen = set()
+        for comp in graph.components:
+            for a, b in zip(comp, comp[1:]):
+                assert lambda_dn(a) == b and lambda_up(b) == a, f"n={n}: {a} -> {b}"
+            assert lambda_up(comp[0]) is None and lambda_dn(comp[-1]) is None, f"n={n}"
+            seen.update(comp)
+        assert len(seen) == graph.vertex_count == count_partitions(n), f"n={n}"
+    verdict(8, "the move graph is a disjoint union of maximal simple paths covering "
+               "every partition (n<=40); each path meets a degree class at most twice "
+               "because degrees are strictly log-concave along it (criterion 05)")
 
 
 def test_criterion_09_branching():

@@ -1,11 +1,12 @@
 """Command-line surface: formats, cache behavior, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from chardeg import cli, conjugate, enumerate_partitions
+from chardeg import cli, conjugate, enumerate_partitions, spectrum
 from chardeg.cache import cache_path, load_spectrum, store_spectrum
 from chardeg.serialize import spectrum_to_doc
 from chardeg.spectrum import spectrum_an, spectrum_sn
@@ -121,15 +122,61 @@ class TestSpectrumCmd:
         assert out1 == out2 == out3
 
 
+def edit_entry(path, edit):
+    entry = json.loads(path.read_text())
+    edit(entry["spectrum"])
+    path.write_text(json.dumps(entry))
+
+
+def drop_third_class_members(doc):
+    doc["classes"][2].update(members=[], splits=[])
+
+
+def capped_layout(doc):
+    """The members a build with a member cap below n keeps: the top two
+    classes' only."""
+    doc["members_complete"] = False
+    for c in doc["classes"][2:]:
+        c["members"] = []
+        c.pop("splits", None)
+
+
 class TestCache:
-    def test_incomplete_top_two_is_a_miss(self, tmp_path):
-        spec = spectrum_sn(12, member_cap=5)
+    def test_incomplete_top_two_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        spec = spectrum_sn(12)
         path = store_spectrum(tmp_path, spec)
         assert load_spectrum(tmp_path, "S", 12) == spec
-        entry = json.loads(path.read_text())
-        entry["spectrum"]["classes"][1]["members"] = []
-        path.write_text(json.dumps(entry))
+        edit_entry(path, lambda doc: doc["classes"][1].update(members=[]))
         assert load_spectrum(tmp_path, "S", 12) is None
+
+    @pytest.mark.parametrize("group", ["S", "A"])
+    @pytest.mark.parametrize("edit", [drop_third_class_members, capped_layout])
+    def test_missing_members_below_cap_is_a_miss(self, tmp_path, group, edit):
+        build = spectrum_sn if group == "S" else spectrum_an
+        path = store_spectrum(tmp_path, build(12))
+        edit_entry(path, edit)
+        assert load_spectrum(tmp_path, group, 12) is None
+
+    @pytest.mark.parametrize("group", ["S", "A"])
+    def test_extra_members_above_cap_is_a_miss(self, tmp_path, monkeypatch, group):
+        build = spectrum_sn if group == "S" else spectrum_an
+        complete = build(12)
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        capped = build(12)
+        store_spectrum(tmp_path, capped)
+        assert load_spectrum(tmp_path, group, 12) == capped
+        path = store_spectrum(tmp_path, complete)
+        assert load_spectrum(tmp_path, group, 12) is None
+        edit_entry(path, lambda doc: doc.update(members_complete=False))
+        assert load_spectrum(tmp_path, group, 12) is None
+
+    def test_capped_entry_does_not_change_stdout(self, capsys, tmp_path):
+        _, cold, _ = run(capsys, "spectrum", "--n", "12")
+        path = store_spectrum(tmp_path, spectrum_sn(12))
+        edit_entry(path, capped_layout)
+        code, out, _ = run(capsys, "spectrum", "--n", "12", "--cache-dir", str(tmp_path))
+        assert code == 0 and out == cold
 
     def test_write_and_reuse(self, capsys, tmp_path):
         code, out1, _ = run(
@@ -400,9 +447,29 @@ class TestVerifyCmd:
         assert exc.value.code == 2
         assert "not allowed" in capsys.readouterr().err
 
-    def test_threads_other_than_one_rejected(self, capsys, monkeypatch):
-        from chardeg import spectrum
+    @pytest.mark.parametrize("n", ["61", "10"])
+    def test_max_n_above_the_store_ceiling_rejected(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--n", n, "--max-n", "70",
+                             "--checks", "sandwich")
+        assert code == 2 and not out
+        assert err.startswith("error:") and "above 60" in err
+        code, out, _ = run(capsys, "verify", "--n", "10", "--max-n", "60",
+                           "--checks", "sandwich")
+        assert code == 0 and out.startswith("PASS")
 
+    @pytest.mark.parametrize(
+        "fmt,md5",
+        [("json", "44516d161a26efea7c5b32340878189b"), ("text", "8a3cdb26df5348e3bc2d7830cf0ce694")],
+    )
+    def test_golden_bytes(self, capsys, fmt, md5):
+        # pins every report's bytes over n = 5..20, so a refactor that
+        # changes one fails here
+        code, out, _ = run(capsys, "verify", "--range", "5..20", "--checks", "all",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.md5(out.encode("utf-8")).hexdigest() == md5
+
+    def test_threads_other_than_one_rejected(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("verify started a process pool")
 
@@ -473,6 +540,14 @@ class TestScanCmd:
             capsys, "scan", "--n", "70", "--out", str(tmp_path / "x.csv")
         )
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["61", "10"])
+    def test_max_n_above_the_store_ceiling_rejected(self, capsys, tmp_path, n):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(capsys, "scan", "--n", n, "--max-n", "70", "--out", str(out_path))
+        assert code == 2 and not out
+        assert err.startswith("error:") and "above 60" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_target_leaves_no_partial_file(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

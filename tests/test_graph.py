@@ -5,13 +5,10 @@ import pytest
 from chardeg import graph, spectrum
 from chardeg import (
     build_graph,
-    component_class_check,
     count_partitions,
     enumerate_partitions,
-    graph_structure_check,
     lambda_dn,
     lambda_up,
-    local_extrema_check,
     low_degree_count_check,
     low_degree_count_check_all,
     near_max_count_check,
@@ -117,24 +114,25 @@ class TestBuildGraph:
 
 
 class TestStructureChecks:
-    def test_structure_passes(self):
-        for n in range(1, 26):
-            assert graph_structure_check(n).passed
-
     def test_class_intersection_passes(self):
+        # the ratio lemma's lower bound d(λ)^2 > d(up) d(dn) makes degrees
+        # strictly log-concave along a path: no interior minimum, and no
+        # path meets a degree class more than twice
+        ties = {}
         for n in range(1, 26):
-            assert component_class_check(n).passed
-
-    def test_local_extrema_passes(self):
-        for n in range(1, 26):
-            assert local_extrema_check(n).passed
-
-    def test_ties_happen_and_are_reported(self):
-        # at n = 4 the two middle path vertices are conjugate with equal
-        # hook products; the check reports the tie without failing
-        rep = local_extrema_check(4)
-        assert rep.passed
-        assert "adjacent-ties=1" in rep.notes
+            table = degree_table(n)
+            for comp in build_graph(n).components:
+                ds = [table[v] for v in comp]
+                hits = {}
+                for d in ds:
+                    hits[d] = hits.get(d, 0) + 1
+                assert max(hits.values()) <= 2, (n, comp)
+                for i in range(1, len(ds) - 1):
+                    assert ds[i] > min(ds[i - 1], ds[i + 1]), (n, comp[i])
+                ties[n] = ties.get(n, 0) + sum(a == b for a, b in zip(ds, ds[1:]))
+        # two hits do happen: at n = 4 the conjugate middle vertices of the
+        # path tie
+        assert ties[4] == 1
 
 
 class TestRatioLemma:
@@ -151,6 +149,19 @@ class TestRatioLemma:
         # the ratio lemma walks its paths from the degree table's tops
         for n in range(1, 26):
             assert tuple(graph._table_paths(degree_table(n))) == build_graph(n).components
+
+    @pytest.mark.parametrize("dropped", [0, -1])
+    def test_raises_when_the_walk_misses_a_path(self, monkeypatch, dropped):
+        table_paths = graph._table_paths
+
+        def missing_one(table):
+            paths = list(table_paths(table))
+            del paths[dropped]
+            return iter(paths)
+
+        monkeypatch.setattr(graph, "_table_paths", missing_one)
+        with pytest.raises(ArithmeticError, match="cover"):
+            ratio_lemma_check(12)
 
 
 class TestCountChecks:

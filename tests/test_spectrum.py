@@ -59,20 +59,24 @@ class TestSpectrumSn:
         assert all(c.complete for c in spec.classes)
         assert sum(c.size for c in spec.classes) == sum(1 for _ in enumerate_partitions(12))
 
-    def test_members_truncated_above_cap(self):
-        spec = spectrum_sn(12, member_cap=5)
+    def test_members_truncated_above_cap(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        spec = spectrum_sn(12)
         assert not spec.members_complete
         # the top two classes keep their members, the checks read both
         assert all(c.complete and c.members for c in spec.classes[:2])
         assert all(c.members == () for c in spec.classes[2:])
 
-    def test_top_two_members_above_cap(self):
+    def test_top_two_members_above_cap(self, monkeypatch):
         # each shard keeps its own top two degrees; the merge keeps the
         # global top two, at every worker count
         for build in (spectrum_sn, spectrum_an):
             full = build(20)
             for threads in (1, 2):
-                capped = build(20, member_cap=5, threads=threads)
+                with monkeypatch.context() as m:
+                    m.setattr(spectrum, "MEMBER_CAP", 5)
+                    capped = build(20, threads=threads)
+                assert not capped.members_complete
                 assert capped.classes[:2] == full.classes[:2]
                 assert [(c.degree, c.size) for c in capped.classes] == [
                     (c.degree, c.size) for c in full.classes
@@ -150,13 +154,14 @@ class TestMembersDescending:
     """Members are sorted only where a class has more than one
     representative; every class must still list them strictly descending."""
 
-    @pytest.mark.parametrize("member_cap", [MEMBER_CAP, 5])
+    @pytest.mark.parametrize("cap", [MEMBER_CAP, 5])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_built_spectra(self, threads, member_cap):
+    def test_built_spectra(self, monkeypatch, threads, cap):
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", cap)
         for n in range(1, 23):
-            assert_members_descending(spectrum_sn(n, threads=threads, member_cap=member_cap))
+            assert_members_descending(spectrum_sn(n, threads=threads))
             if n >= 2:
-                assert_members_descending(spectrum_an(n, threads=threads, member_cap=member_cap))
+                assert_members_descending(spectrum_an(n, threads=threads))
 
     def test_store_spectra(self):
         for n in range(2, 23):
