@@ -1,11 +1,12 @@
 """On-disk cache of computed spectra.
 
 One JSON file per (group, n), keyed by schema version.  Entries whose
-schema does not match, that fail to parse, that violate the spectrum mass
-invariant, or that store other members than a fresh build would are
-silently recomputed; the cache can speed things up but must never change
-a result.  Writes go through a temp file and an atomic rename.  An entry holds only the schema, the producer and the spectrum, so
-its bytes depend on nothing but the result.
+schema does not match, that fail to parse or have the wrong shape, that
+violate the spectrum mass invariant, or that store other members than a
+fresh build would are silently recomputed; the cache can speed things up
+but must never change a result.  Writes go through a temp file and an
+atomic rename.  An entry holds only the schema, the producer and the
+spectrum, so its bytes depend on nothing but the result.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
             entry = json.load(fh)
         if entry.get("schema") != SCHEMA_VERSION:
             return None
-        spec = spectrum_from_doc(entry["spectrum"])
-        if spec.group != group.upper() or spec.n != n:
-            return None
+        doc = entry["spectrum"]
+        if doc.get("group") != group.upper() or doc.get("n") != n:
+            return None  # before the mass check computes n! for another n
+        spec = spectrum_from_doc(doc)
         if not has_built_members(spec):
             return None  # a hit must print what a fresh build prints
         return spec
-    except (OSError, ValueError, KeyError, TypeError):
+    # AttributeError: a list, number or null where an object or string belongs
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import nlargest
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .partitions import (
@@ -24,7 +25,7 @@ from .partitions import (
     lambda_up,
 )
 from .report import FAIL, PASS, Inequality, VerificationReport
-from .spectrum import cached_spectrum, degree_table, derived_data
+from .spectrum import cached_spectrum, degree_table
 
 PathComponent = tuple[Partition, ...]
 
@@ -53,24 +54,17 @@ def vertex_degree(parts: Partition) -> int:
     return up + dn
 
 
-def _is_top(parts: Partition) -> bool:
-    """True when λ_up is undefined, so ``parts`` starts its move path."""
-    return len(parts) < 2 or parts[-1] != 1
-
-
-def _paths(tops: Iterable[Partition]) -> Iterator[PathComponent]:
-    """The move path from each top down along λ_dn, in the order of ``tops``."""
-    for lam in tops:
+def _paths(partitions: Iterable[Partition]) -> Iterator[PathComponent]:
+    """The move path down along λ_dn from each top among ``partitions``, in
+    their order; a top is a partition with no λ_up (one part, or a last
+    part above 1), and every other partition is skipped."""
+    for lam in partitions:
+        if len(lam) >= 2 and lam[-1] == 1:
+            continue
         path = [lam]
         while (lam := lambda_dn(lam)) is not None:
             path.append(lam)
         yield tuple(path)
-
-
-def _table_paths(table: dict[Partition, int]) -> Iterator[PathComponent]:
-    """The components of ``build_graph``, in its order, walked from the
-    tops among the degree table's keys instead of a second enumeration."""
-    return _paths(sorted(filter(_is_top, table), reverse=True))
 
 
 def build_graph(n: int) -> PartitionGraph:
@@ -79,8 +73,7 @@ def build_graph(n: int) -> PartitionGraph:
         raise ValueError("n must be at least 1")
     # λ_up raises the first part, so a path's top comes first in
     # enumeration order and components keep that order
-    tops = filter(_is_top, enumerate_partitions(n))
-    return PartitionGraph(n, tuple(_paths(tops)))
+    return PartitionGraph(n, tuple(_paths(enumerate_partitions(n))))
 
 
 def ratio_lemma_check(n: int) -> VerificationReport:
@@ -92,14 +85,17 @@ def ratio_lemma_check(n: int) -> VerificationReport:
 
     With H = n!/d the ratio is d^2 / (d(up) d(dn)), so the bounds are
     compared on degrees in integers; a Fraction is made only for a
-    violation.  A pass covers every vertex only if the paths cover every
-    partition of n, so a walk that misses one raises ArithmeticError.
+    violation.  The paths are walked from the tops among the degree
+    table's keys, in the table's order, so the partitions of n are not
+    enumerated a second time.  A pass covers every vertex only if the paths
+    cover every partition of n, so a walk that misses one raises
+    ArithmeticError.
     """
     table = degree_table(n)
     violations: list[tuple[Partition, Fraction]] = []
     interior = 0
     visited = 0
-    for comp in _table_paths(table):
+    for comp in _paths(table):
         visited += len(comp)
         ds = [table[v] for v in comp]
         for i in range(1, len(ds) - 1):
@@ -135,62 +131,47 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     )
 
 
-def _class_counts(n: int):
-    """Per-class data for the counting checks.
-
-    Returns (degrees, sizes, prefix_sizes, low_degree_counts, in_range_counts,
-    low_degree_members) where classes are indexed 0-based in decreasing
-    degree order and prefix_sizes[r] counts characters of strictly larger
-    degree.  low_degree_members maps a class index to its members in table
-    order, for classes that have any; a report samples the three largest.
-    Like the degree table, only the most recent n is held: the data lives
-    with the store and is dropped with it.
-    """
-    derived = derived_data(n)
-    counts = derived.get("class_counts")
-    if counts is None:
-        counts = derived["class_counts"] = _compute_class_counts(n)
-    return counts
-
-
-def _compute_class_counts(n: int):
+def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
+    """(degrees, sizes, prefix) of the S_n classes, indexed 0-based in
+    decreasing degree order; prefix[r] counts the characters of strictly
+    larger degree than class r."""
     spec = cached_spectrum("S", n)
     degrees = [c.degree for c in spec.classes]
     sizes = [c.size for c in spec.classes]
+    return degrees, sizes, [0, *accumulate(sizes)]
+
+
+def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[Partition]]]:
+    """Per class, the number of its partitions with fewer than two move
+    neighbours, and those partitions in table order for the classes that
+    have any; a report samples the three largest."""
     index_of = {d: i for i, d in enumerate(degrees)}
-    m = len(degrees)
-
-    prefix = [0] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] + sizes[i]
-    total = prefix[m]
-
-    low_members: dict[int, list[Partition]] = {}
+    members: dict[int, list[Partition]] = {}
     for lam, d in degree_table(n).items():
         if vertex_degree(lam) < 2:
-            low_members.setdefault(index_of[d], []).append(lam)
-    low_counts = [len(low_members.get(i, ())) for i in range(m)]
+            members.setdefault(index_of[d], []).append(lam)
+    return [len(members.get(i, ())) for i in range(len(degrees))], members
 
-    # in_range[r] = characters with degree strictly between b_r/4 and b_r
-    in_range = [0] * m
+
+def _in_range(degrees: list[int], prefix: list[int]) -> list[int]:
+    """in_range[r] = characters with degree strictly between b_r/4 and b_r."""
+    in_range = []
     t = 0  # first class with 4*degree <= b_r
-    for r in range(m):
-        below = total - prefix[r + 1]
-        if t < r + 1:
-            t = r + 1
-        while t < m and 4 * degrees[t] > degrees[r]:
+    for r, b_r in enumerate(degrees):
+        t = max(t, r + 1)
+        while t < len(degrees) and 4 * degrees[t] > b_r:
             t += 1
-        at_most_quarter = total - prefix[t]
-        in_range[r] = below - at_most_quarter
-    return degrees, sizes, prefix, low_counts, in_range, low_members
+        in_range.append(prefix[t] - prefix[r + 1])
+    return in_range
 
 
 def low_degree_count_check(n: int, r: int) -> VerificationReport:
     """At most 2 |M_1 ∪ ... ∪ M_{r-1}| partitions of the r-th degree class
     have fewer than two move neighbors; for r = 1 that means none at all."""
-    degrees, sizes, prefix, low_counts, _in_range, low_members = _class_counts(n)
+    degrees, sizes, prefix = _class_sizes(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
+    low_counts, low_members = _low_degree(n, degrees)
     ineqs = [Inequality("low-degree-members", low_counts[r - 1], "<=", 2 * prefix[r - 1])]
     if r == 1:
         ineqs.append(Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0))
@@ -210,9 +191,10 @@ def low_degree_count_check(n: int, r: int) -> VerificationReport:
 def near_max_count_check(n: int, r: int) -> VerificationReport:
     """At least |M_r| - 4 |M_1 ∪ ... ∪ M_{r-1}| characters have degree
     strictly between b_r/4 and b_r, compared in exact arithmetic."""
-    degrees, sizes, prefix, _low, in_range, _members = _class_counts(n)
+    degrees, sizes, prefix = _class_sizes(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
+    in_range = _in_range(degrees, prefix)
     ineq = Inequality(
         "near-top-characters", in_range[r - 1], ">=", sizes[r - 1] - 4 * prefix[r - 1]
     )
@@ -228,7 +210,8 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
 def low_degree_count_check_all(n: int) -> VerificationReport:
     """The low-degree counting bound over every class at once; the recorded
     inequality is the tightest class."""
-    degrees, sizes, prefix, low_counts, _in_range, low_members = _class_counts(n)
+    degrees, sizes, prefix = _class_sizes(n)
+    low_counts, low_members = _low_degree(n, degrees)
     m = len(degrees)
     failures = [r for r in range(1, m + 1) if low_counts[r - 1] > 2 * prefix[r - 1]]
     tightest = min(
@@ -259,7 +242,8 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
 
 def near_max_count_check_all(n: int) -> VerificationReport:
     """The near-top counting bound over every class at once."""
-    degrees, sizes, prefix, _low, in_range, _members = _class_counts(n)
+    degrees, sizes, prefix = _class_sizes(n)
+    in_range = _in_range(degrees, prefix)
     m = len(degrees)
     failures = [
         r for r in range(1, m + 1) if in_range[r - 1] < sizes[r - 1] - 4 * prefix[r - 1]

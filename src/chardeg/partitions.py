@@ -252,17 +252,9 @@ def iter_moves(parts: Partition) -> Iterator[tuple[int, int, Partition]]:
     """Yield (i, j, result) for every defined single-node move, i != j."""
     k = len(parts)
     for i in range(1, k + 1):
-        below = parts[i] if i < k else 0
-        if parts[i - 1] <= below:
-            continue
-        reduced = remove_node(parts, i)
-        m = len(reduced)
-        for j in range(1, m + 2):
-            if j == i:
-                continue
-            if j <= m and j > 1 and reduced[j - 2] <= reduced[j - 1]:
-                continue
-            yield i, j, add_node(reduced, j)
+        for j in range(1, k + 2):
+            if j != i and (moved := move_node(parts, i, j)) is not None:
+                yield i, j, moved
 
 
 def lambda_to_1(parts: Partition) -> Partition | None:

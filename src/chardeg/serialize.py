@@ -65,12 +65,13 @@ def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
     group = doc["group"]
     if group not in ("S", "A"):
         raise ValueError(f"unknown group tag {group!r}")
+    n = int(doc["n"])
     classes = []
     for entry in doc["classes"]:
-        members = tuple(parse_partition(t) for t in entry["members"])
+        members = tuple(parse_partition(t, max_n=n) for t in entry["members"])
         splits = tuple(entry.get("splits", ())) if group == "A" else ()
         classes.append(DegreeClass(int(entry["degree"]), int(entry["size"]), members, splits))
-    spec = DegreeSpectrum(int(doc["n"]), group, tuple(classes), bool(doc["members_complete"]))
+    spec = DegreeSpectrum(n, group, tuple(classes), bool(doc["members_complete"]))
     if spec.mass() != spec.group_order():
         raise ValueError(f"mass invariant violated in document for {group}_{spec.n}")
     if str(spec.b) != doc["b"]:

@@ -151,8 +151,8 @@ class _Classes:
 def _pair_shard(
     n: int, first_part: int | None, groups: str, all_members: bool, table: dict | None = None
 ) -> dict[str, dict[int, list]]:
-    """Degrees over the partitions of n whose largest part is in
-    is ``first_part``, or over every partition of n when it is None.
+    """Degrees over the partitions of n whose largest part is
+    ``first_part``, or over every partition of n when it is None.
 
     Visits one representative per conjugate pair: λ is skipped when it has
     more parts than its first part, because its conjugate, which has a
@@ -238,23 +238,37 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
     return max(1, min(threads, shards, cpus or 1))
 
 
-def _build_spectrum(n: int, group: str, threads: int) -> DegreeSpectrum:
+def _build(
+    n: int, groups: str, threads: int = 1, table: dict | None = None
+) -> dict[str, DegreeSpectrum]:
+    """The spectra of n for each group in ``groups``, from a process pool
+    sharded by largest part when more than one worker is available, else
+    from one sequential pass that also fills ``table`` when given.  The
+    pass allocates no reference cycles, so the cyclic garbage collector is
+    paused while it runs."""
     all_members = n <= MEMBER_CAP
     workers = pool_size(threads, n, os.cpu_count())
-    if workers > 1 and n >= 18:
-        # each shard keeps its own top two degrees, so merging keeps the
-        # global top two; shards are merged, and dropped, as they arrive
-        merged = _Classes(all_members)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = pool.map(_pair_shard, [n] * n, range(n, 0, -1),
-                              [group] * n, [all_members] * n, chunksize=4)
-            for shard in shards:
-                for deg, (chars, members) in shard[group].items():
-                    merged.add(deg, chars, members or ())
-        classes = merged.classes
-    else:
-        classes = _pair_shard(n, None, group, all_members)[group]
-    return _spectrum(n, group, classes, all_members)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if workers > 1 and n >= 18:
+            # each shard keeps its own top two degrees, so merging keeps the
+            # global top two; shards are merged, and dropped, as they arrive
+            merged = {g: _Classes(all_members) for g in groups}
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                shards = pool.map(_pair_shard, [n] * n, range(n, 0, -1),
+                                  [groups] * n, [all_members] * n, chunksize=4)
+                for shard in shards:
+                    for g in groups:
+                        for deg, (chars, members) in shard[g].items():
+                            merged[g].add(deg, chars, members or ())
+            classes = {g: c.classes for g, c in merged.items()}
+        else:
+            classes = _pair_shard(n, None, groups, all_members, table)
+        return {g: _spectrum(n, g, classes[g], all_members) for g in groups}
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _check_n(n: int, lo: int, max_n: int) -> None:
@@ -272,55 +286,65 @@ def spectrum_sn(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> Degr
     independent of the worker count.
     """
     _check_n(n, 1, max_n)
-    return _build_spectrum(n, "S", threads)
+    return _build(n, "S", threads)["S"]
 
 
 def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> DegreeSpectrum:
     """Complete exact degree spectrum of the alternating group on n points."""
     _check_n(n, 2, max_n)
-    return _build_spectrum(n, "A", threads)
+    return _build(n, "A", threads)["A"]
 
 
 def has_built_members(spec: DegreeSpectrum) -> bool:
     """True when ``spec`` stores the members that ``spectrum_sn`` and
     ``spectrum_an`` store for its n: those of every class when
-    n <= MEMBER_CAP, else those of the top two classes and no others."""
-    if spec.members_complete != (spec.n <= MEMBER_CAP):
+    n <= MEMBER_CAP, else those of the top two classes and no others.
+
+    Every member must be a partition of n, listed strictly descending in
+    its class and in no other class.  The top two classes, whose members
+    the checks read, are re-derived: each member gives back its class
+    degree from its hook product, and in A_n it is the larger partition of
+    its conjugate pair and splits in two exactly when it is self-conjugate.
+    Re-deriving every class would cost the pass that a cache hit skips.
+    """
+    n, alt = spec.n, spec.group == "A"
+    if spec.members_complete != (n <= MEMBER_CAP):
         return False
-    if spec.members_complete:
-        return all(c.complete for c in spec.classes)
-    top, rest = spec.classes[:2], spec.classes[2:]
-    return all(c.complete for c in top) and not any(c.members or c.splits for c in rest)
+    cut = len(spec.classes) if spec.members_complete else 2
+    kept, rest = spec.classes[:cut], spec.classes[cut:]
+    if not all(c.complete for c in kept) or any(c.members or c.splits for c in rest):
+        return False
+    if any(alt and len(c.splits) != len(c.members) for c in kept):
+        return False
+    if any(a <= b for c in kept for a, b in zip(c.members, c.members[1:])):
+        return False
+    members = [lam for c in kept for lam in c.members]
+    if len(set(members)) != len(members) or any(sum(lam) != n for lam in members):
+        return False
+    fact = factorial(n)
+    for c in spec.classes[:2]:
+        for lam, splits in zip(c.members, c.splits or (1,) * len(c.members)):
+            conj = conjugate(lam)
+            if alt and (lam < conj or splits != 1 + (lam == conj)):
+                return False
+            if splits * c.degree * hook_product(lam, conj) != fact:
+                return False
+    return True
 
 
 # the current n's degree table and its spectra, replaced when another n is built
 _store: tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]] | None = None
-# what other modules derive from the current n's store, dropped with it
-_derived: dict[str, object] = {}
 
 
 def _current(n: int) -> tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]]:
     """The store for n, built by one sequential pass over the conjugate-pair
-    representatives unless it already holds n.
-
-    The pass allocates about one tuple per partition and no reference
-    cycles, so the cyclic garbage collector is paused while it runs."""
+    representatives unless it already holds n."""
     global _store
     if _store is None or _store[0] != n:
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
-        groups = "SA" if n >= 2 else "S"
-        all_members = n <= MEMBER_CAP
         table: dict[Partition, int] = {}
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            classes = _pair_shard(n, None, groups, all_members, table)
-            spectra = {g: _spectrum(n, g, classes[g], all_members) for g in groups}
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        _store = (n, table, spectra)
+        _store = (n, table, _build(n, "SA" if n >= 2 else "S", table=table))
     return _store
 
 
@@ -339,18 +363,10 @@ def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
     return _current(n)[2][group]
 
 
-def derived_data(n: int) -> dict[str, object]:
-    """A dict for data derived from n's store, emptied when the store moves
-    to another n or is cleared."""
-    _current(n)
-    return _derived
-
-
 def clear_spectrum_cache() -> None:
-    """Drop the store and everything derived from it."""
+    """Drop the store."""
     global _store
     _store = None
-    _derived.clear()
 
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:

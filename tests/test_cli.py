@@ -141,7 +141,86 @@ def capped_layout(doc):
         c.pop("splits", None)
 
 
+def entry_is_a_list(path):
+    path.write_text("[]")
+
+
+def spectrum_is_a_list(path):
+    path.write_text(json.dumps({"schema": 1, "spectrum": []}))
+
+
+def member_is_a_number(path):
+    def edit(doc):
+        doc["classes"][0]["members"][0] = 5
+
+    edit_entry(path, edit)
+
+
+def top_member_reads_n(doc):
+    """The top class's first member becomes the one-row partition (n): a
+    partition of n, but not of the class's degree."""
+    doc["classes"][0]["members"][0] = str(doc["n"])
+
+
+def member_of_a_smaller_n(doc):
+    doc["classes"][-1]["members"][0] = "5"
+
+
+def members_ascending(doc):
+    doc["classes"][1]["members"].reverse()
+
+
+def member_in_two_classes(doc):
+    doc["classes"][-1]["members"][0] = doc["classes"][-2]["members"][0]
+
+
+def member_not_a_representative(doc):
+    doc["classes"][0]["members"][0] = "3,1,1,1"  # the conjugate of 4,1,1
+
+
 class TestCache:
+    @pytest.mark.parametrize(
+        "corrupt", [entry_is_a_list, spectrum_is_a_list, member_is_a_number]
+    )
+    def test_wrong_shape_is_a_miss(self, capsys, tmp_path, corrupt):
+        _, cold, _ = run(capsys, "spectrum", "--n", "6")
+        corrupt(store_spectrum(tmp_path, spectrum_sn(6)))
+        assert load_spectrum(tmp_path, "S", 6) is None
+        code, out, _ = run(capsys, "spectrum", "--n", "6", "--cache-dir", str(tmp_path))
+        assert code == 0 and out == cold
+
+    # with the members of every class, the edited member also sits in a
+    # lower class; with the top two only, just its degree gives it away
+    @pytest.mark.parametrize(
+        ("group", "n", "capped"), [("S", 6, False), ("S", 12, True), ("A", 12, True)]
+    )
+    def test_wrong_top_member_is_a_miss(self, capsys, tmp_path, monkeypatch, group, n, capped):
+        if capped:
+            monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        argv = ("spectrum", "--n", str(n), "--group", group.lower())
+        _, cold, _ = run(capsys, *argv)
+        path = store_spectrum(tmp_path, (spectrum_sn if group == "S" else spectrum_an)(n))
+        assert load_spectrum(tmp_path, group, n) is not None
+        edit_entry(path, top_member_reads_n)
+        assert load_spectrum(tmp_path, group, n) is None
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == cold
+
+    @pytest.mark.parametrize(
+        ("group", "edit"),
+        [
+            ("S", member_of_a_smaller_n),
+            ("S", members_ascending),
+            ("S", member_in_two_classes),
+            ("A", member_not_a_representative),
+        ],
+    )
+    def test_wrong_members_are_a_miss(self, tmp_path, group, edit):
+        build = spectrum_sn if group == "S" else spectrum_an
+        path = store_spectrum(tmp_path, build(6))
+        edit_entry(path, edit)
+        assert load_spectrum(tmp_path, group, 6) is None
+
     def test_incomplete_top_two_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
         spec = spectrum_sn(12)
@@ -358,7 +437,7 @@ class TestVerifyCmd:
         for module in (chardeg, hooks, spectrum, graph, cli):
             if getattr(module, "hook_product", None) is real:
                 monkeypatch.setattr(module, "hook_product", counted)
-        # clearing the store also drops the counting checks' class data
+        # an empty store, so every n of the run is built here
         spectrum.clear_spectrum_cache()
         try:
             code, _, _ = run(capsys, "verify", "--range", "5..12", "--checks", "all")

@@ -2,6 +2,7 @@
 
 import gc
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -95,6 +96,14 @@ class TestSpectrumSn:
             assert spectrum_sn(n, threads=2) == spectrum_sn(n)
 
 
+# the store's pass and the 1-worker spectra; each pauses the collector
+SEQUENTIAL_BUILDS = (
+    degree_table,
+    partial(spectrum_sn, threads=1),
+    partial(spectrum_an, threads=1),
+)
+
+
 class TestDegreeTable:
     def test_degrees_against_both_oracles(self):
         for n in range(1, 21):
@@ -119,21 +128,27 @@ class TestDegreeTable:
         try:
             set_gc[enabled]()
             spectrum.clear_spectrum_cache()
-            degree_table(12)
-            assert gc.isenabled() is enabled
+            for build in SEQUENTIAL_BUILDS:
+                build(12)
+                assert gc.isenabled() is enabled, build
         finally:
             set_gc[was]()
 
     def test_restores_gc_when_the_pass_raises(self, monkeypatch):
+        during = []
+
         def broken(parts, conj=None):
+            during.append(gc.isenabled())
             raise ArithmeticError("hook product failed")
 
         monkeypatch.setattr(spectrum, "hook_product", broken)
         spectrum.clear_spectrum_cache()
-        assert gc.isenabled()
-        with pytest.raises(ArithmeticError):
-            degree_table(12)
-        assert gc.isenabled()
+        for build in SEQUENTIAL_BUILDS:
+            assert gc.isenabled()
+            with pytest.raises(ArithmeticError):
+                build(12)
+            assert gc.isenabled(), build
+        assert during == [False] * len(SEQUENTIAL_BUILDS)  # each pass ran paused
         assert spectrum._store is None
 
     def test_guards(self):

@@ -1,9 +1,14 @@
-"""The benchmark's tracer still finds every library name it wraps."""
+"""The benchmark still runs against the library: its tracer finds every
+name it wraps, and its checker accepts what the CLI prints."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +29,24 @@ def test_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["paper-sweep", "spectrum-50"])
+def test_benchmark_smoke_run(tmp_path, workload):
+    # a copy of the tree, so the run's results land under tmp_path; with
+    # --trace 1 the run fails when traced and untraced stdout differ, and
+    # every output goes through the benchmark's checker
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "1", "--trace", "1", "--smoke"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
