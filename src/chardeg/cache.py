@@ -1,4 +1,5 @@
-"""On-disk cache of computed spectra.
+"""On-disk cache of the spectra above MEMBER_CAP, which keep the members of
+their top two classes only and load faster than they build.
 
 One JSON file per (group, n), keyed by schema version.  Entries whose
 schema does not match, that fail to parse or have the wrong shape, that

@@ -7,6 +7,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import spectrum
 from .cache import load_spectrum, store_spectrum
 from .exact import decimal_str
 from .graph import (
@@ -26,6 +27,7 @@ from .partitions import (
 )
 from .report import FAIL
 from .serialize import (
+    SCHEMA_VERSION,
     graph_to_doc,
     graph_to_dot,
     json_text,
@@ -92,7 +94,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     ratio = up_dn_ratio(parts)
     if args.fmt == "json":
         doc = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "partition": format_partition(parts),
             "n": n,
             "hook_product": str(h),
@@ -130,7 +132,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
     degs = [degree_sn(c) for c in decomp.constituents]
     if args.fmt == "json":
         doc = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "source": format_partition(parts),
             "n": n,
             "self_multiplicity": decomp.self_multiplicity,
@@ -160,6 +162,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     _guard(args.n, args.max_n)
     group = args.group.upper()
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    if args.n <= spectrum.MEMBER_CAP:
+        cache_dir = None  # here a load is no faster than a build
     spec = load_spectrum(cache_dir, group, args.n) if cache_dir else None
     if spec is None:
         builder = spectrum_sn if group == "S" else spectrum_an
@@ -223,7 +227,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ns = [args.n]
     else:
         raise UsageError("one of --n or --range is required")
-    requested = [t.strip() for t in args.checks.split(",") if t.strip()]
+    # a name given twice runs once, in the place it was first given
+    requested = list(dict.fromkeys(t.strip() for t in args.checks.split(",") if t.strip()))
     if not requested:
         raise UsageError("--checks names no check; give check names or all")
     for name in requested:
@@ -252,7 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 out.extend(CHECKS[name][2](n, args.override_domain))
     reports = [r for out in per_check for r in out]
     if args.fmt == "json":
-        doc = {"schema": 1, "reports": [report_to_doc(r) for r in reports]}
+        doc = {"schema": SCHEMA_VERSION, "reports": [report_to_doc(r) for r in reports]}
         print(json_text(doc), end="")
     else:
         for r in reports:

@@ -7,8 +7,8 @@ from fractions import Fraction
 from math import isqrt
 
 
-def sqrt_upper(value: int, digits: int = 12) -> Fraction:
-    """A rational u with u >= sqrt(value), tight to about ``digits`` decimals.
+def sqrt_upper(value: int) -> Fraction:
+    """A rational u with u >= sqrt(value), tight to about 12 decimals.
 
     Exact for perfect squares.  Used wherever an irrational bound must be
     replaced by a rational one without ever strengthening a claimed
@@ -19,15 +19,15 @@ def sqrt_upper(value: int, digits: int = 12) -> Fraction:
     root = isqrt(value)
     if root * root == value:
         return Fraction(root)
-    scale = 10**digits
+    scale = 10**12
     return Fraction(isqrt(value * scale * scale) + 1, scale)
 
 
-def decimal_str(value: int | Fraction, sig_digits: int = 12) -> str:
-    """Render an exact value as a decimal string with ``sig_digits`` digits."""
+def decimal_str(value: int | Fraction) -> str:
+    """Render an exact value as a decimal string with 12 significant digits."""
     fr = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = sig_digits
+        ctx.prec = 12
         d = Decimal(fr.numerator) / Decimal(fr.denominator)
     return str(d)
 

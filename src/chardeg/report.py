@@ -66,10 +66,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == PASS
 
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
-
     def consistent(self) -> bool:
         """Re-evaluate the stored inequalities against the verdict."""
         all_hold = all(q.holds() for q in self.inequalities)

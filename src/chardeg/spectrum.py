@@ -296,22 +296,20 @@ def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> Degr
 
 
 def has_built_members(spec: DegreeSpectrum) -> bool:
-    """True when ``spec`` stores the members that ``spectrum_sn`` and
-    ``spectrum_an`` store for its n: those of every class when
-    n <= MEMBER_CAP, else those of the top two classes and no others.
+    """True when ``spec`` is a spectrum above MEMBER_CAP, the only ones the
+    cache keeps, and stores the members that ``spectrum_sn`` and
+    ``spectrum_an`` store for it: those of the top two classes, which the
+    checks read, and no others.
 
     Every member must be a partition of n, listed strictly descending in
-    its class and in no other class.  The top two classes, whose members
-    the checks read, are re-derived: each member gives back its class
-    degree from its hook product, and in A_n it is the larger partition of
-    its conjugate pair and splits in two exactly when it is self-conjugate.
-    Re-deriving every class would cost the pass that a cache hit skips.
+    its class and in no other class, and must give back its class degree
+    from its hook product; in A_n it is also the larger partition of its
+    conjugate pair and splits in two exactly when it is self-conjugate.
     """
     n, alt = spec.n, spec.group == "A"
-    if spec.members_complete != (n <= MEMBER_CAP):
+    if spec.members_complete or n <= MEMBER_CAP:
         return False
-    cut = len(spec.classes) if spec.members_complete else 2
-    kept, rest = spec.classes[:cut], spec.classes[cut:]
+    kept, rest = spec.classes[:2], spec.classes[2:]
     if not all(c.complete for c in kept) or any(c.members or c.splits for c in rest):
         return False
     if any(alt and len(c.splits) != len(c.members) for c in kept):
@@ -322,7 +320,7 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     if len(set(members)) != len(members) or any(sum(lam) != n for lam in members):
         return False
     fact = factorial(n)
-    for c in spec.classes[:2]:
+    for c in kept:
         for lam, splits in zip(c.members, c.splits or (1,) * len(c.members)):
             conj = conjugate(lam)
             if alt and (lam < conj or splits != 1 + (lam == conj)):

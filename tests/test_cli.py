@@ -8,8 +8,9 @@ import pytest
 
 from chardeg import cli, conjugate, enumerate_partitions, spectrum
 from chardeg.cache import cache_path, load_spectrum, store_spectrum
+from chardeg.partitions import parse_partition
 from chardeg.serialize import spectrum_to_doc
-from chardeg.spectrum import spectrum_an, spectrum_sn
+from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
 
 
 def run(capsys, *argv):
@@ -128,19 +129,6 @@ def edit_entry(path, edit):
     path.write_text(json.dumps(entry))
 
 
-def drop_third_class_members(doc):
-    doc["classes"][2].update(members=[], splits=[])
-
-
-def capped_layout(doc):
-    """The members a build with a member cap below n keeps: the top two
-    classes' only."""
-    doc["members_complete"] = False
-    for c in doc["classes"][2:]:
-        c["members"] = []
-        c.pop("splits", None)
-
-
 def entry_is_a_list(path):
     path.write_text("[]")
 
@@ -163,7 +151,7 @@ def top_member_reads_n(doc):
 
 
 def member_of_a_smaller_n(doc):
-    doc["classes"][-1]["members"][0] = "5"
+    doc["classes"][1]["members"][0] = "5"
 
 
 def members_ascending(doc):
@@ -171,14 +159,43 @@ def members_ascending(doc):
 
 
 def member_in_two_classes(doc):
-    doc["classes"][-1]["members"][0] = doc["classes"][-2]["members"][0]
+    doc["classes"][1]["members"][0] = doc["classes"][0]["members"][0]
 
 
 def member_not_a_representative(doc):
     doc["classes"][0]["members"][0] = "3,1,1,1"  # the conjugate of 4,1,1
 
 
+def marked_complete(doc):
+    doc["members_complete"] = True
+
+
+def split_without_member(doc):
+    doc["classes"][0]["splits"].append(0)  # leaves the character count as is
+
+
+def member_of_n_6_with_the_degree(doc):
+    """2,2,2 replaces 3,2,1,1 in S_7's top class: a partition of 6 whose hook
+    product, 144 = 7!/35, gives back the class degree."""
+    doc["classes"][0]["members"][1] = "2,2,2"
+
+
+def swap_lower_members(doc):
+    """Exchange 4,2 (degree 9) and 6 (degree 1) in an all-members S_6
+    entry, each class kept strictly descending."""
+    swap = {"4,2": "6", "6": "4,2"}
+    for c in doc["classes"]:
+        c["members"] = sorted((swap.get(m, m) for m in c["members"]),
+                              key=parse_partition, reverse=True)
+
+
 class TestCache:
+    @pytest.fixture(autouse=True)
+    def member_cap_5(self, monkeypatch):
+        # the cache keeps only spectra above the member cap; with the cap at
+        # 5 the small spectra these tests write and read are on that side
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+
     @pytest.mark.parametrize(
         "corrupt", [entry_is_a_list, spectrum_is_a_list, member_is_a_number]
     )
@@ -189,18 +206,14 @@ class TestCache:
         code, out, _ = run(capsys, "spectrum", "--n", "6", "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
-    # with the members of every class, the edited member also sits in a
-    # lower class; with the top two only, just its degree gives it away
-    @pytest.mark.parametrize(
-        ("group", "n", "capped"), [("S", 6, False), ("S", 12, True), ("A", 12, True)]
-    )
-    def test_wrong_top_member_is_a_miss(self, capsys, tmp_path, monkeypatch, group, n, capped):
-        if capped:
-            monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+    # the edited member is a partition of n in no other class: just its
+    # degree gives it away
+    @pytest.mark.parametrize(("group", "n", "capped"), [("S", 12, True), ("A", 12, True)])
+    def test_wrong_top_member_is_a_miss(self, capsys, tmp_path, group, n, capped):
         argv = ("spectrum", "--n", str(n), "--group", group.lower())
         _, cold, _ = run(capsys, *argv)
         path = store_spectrum(tmp_path, (spectrum_sn if group == "S" else spectrum_an)(n))
-        assert load_spectrum(tmp_path, group, n) is not None
+        assert load_spectrum(tmp_path, group, n).members_complete is not capped
         edit_entry(path, top_member_reads_n)
         assert load_spectrum(tmp_path, group, n) is None
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
@@ -213,16 +226,24 @@ class TestCache:
             ("S", members_ascending),
             ("S", member_in_two_classes),
             ("A", member_not_a_representative),
+            ("S", marked_complete),
+            ("A", split_without_member),
         ],
     )
     def test_wrong_members_are_a_miss(self, tmp_path, group, edit):
         build = spectrum_sn if group == "S" else spectrum_an
         path = store_spectrum(tmp_path, build(6))
+        assert load_spectrum(tmp_path, group, 6) is not None
         edit_entry(path, edit)
         assert load_spectrum(tmp_path, group, 6) is None
 
-    def test_incomplete_top_two_is_a_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+    def test_member_of_another_n_with_the_class_degree_is_a_miss(self, tmp_path):
+        path = store_spectrum(tmp_path, spectrum_sn(7))
+        assert load_spectrum(tmp_path, "S", 7) is not None
+        edit_entry(path, member_of_n_6_with_the_degree)
+        assert load_spectrum(tmp_path, "S", 7) is None
+
+    def test_incomplete_top_two_is_a_miss(self, tmp_path):
         spec = spectrum_sn(12)
         path = store_spectrum(tmp_path, spec)
         assert load_spectrum(tmp_path, "S", 12) == spec
@@ -230,16 +251,9 @@ class TestCache:
         assert load_spectrum(tmp_path, "S", 12) is None
 
     @pytest.mark.parametrize("group", ["S", "A"])
-    @pytest.mark.parametrize("edit", [drop_third_class_members, capped_layout])
-    def test_missing_members_below_cap_is_a_miss(self, tmp_path, group, edit):
-        build = spectrum_sn if group == "S" else spectrum_an
-        path = store_spectrum(tmp_path, build(12))
-        edit_entry(path, edit)
-        assert load_spectrum(tmp_path, group, 12) is None
-
-    @pytest.mark.parametrize("group", ["S", "A"])
     def test_extra_members_above_cap_is_a_miss(self, tmp_path, monkeypatch, group):
         build = spectrum_sn if group == "S" else spectrum_an
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 12)
         complete = build(12)
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
         capped = build(12)
@@ -252,8 +266,8 @@ class TestCache:
 
     def test_capped_entry_does_not_change_stdout(self, capsys, tmp_path):
         _, cold, _ = run(capsys, "spectrum", "--n", "12")
-        path = store_spectrum(tmp_path, spectrum_sn(12))
-        edit_entry(path, capped_layout)
+        store_spectrum(tmp_path, spectrum_sn(12))
+        assert load_spectrum(tmp_path, "S", 12) is not None  # so the run below is a hit
         code, out, _ = run(capsys, "spectrum", "--n", "12", "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
@@ -337,6 +351,45 @@ class TestCache:
         entry["created"] = "2026-01-01T00:00:00Z"
         path.write_text(json.dumps(entry))
         assert load_spectrum(tmp_path, "S", 9) == spec
+
+
+class TestCacheAtTheMemberCap:
+    """At the real member cap: spectra at or below it never reach the
+    cache, spectra above it are written cold and read warm."""
+
+    @pytest.mark.parametrize(
+        ("n", "group", "threads"), [(6, "s", "1"), (6, "a", "1"), (40, "s", "2"), (40, "a", "1")]
+    )
+    def test_no_entry_at_or_below_the_cap(self, capsys, tmp_path, n, group, threads):
+        path = store_spectrum(tmp_path, spectrum_sn(6))
+        edit_entry(path, swap_lower_members)
+        planted = path.read_bytes()
+        argv = ("spectrum", "--n", str(n), "--group", group, "--threads", threads)
+        _, plain, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == plain and not err
+        assert [p.name for p in tmp_path.iterdir()] == ["s006.json"]
+        assert path.read_bytes() == planted
+
+    def test_no_spectrum_at_or_below_the_cap_has_built_members(self, monkeypatch):
+        for n in range(2, 13):
+            assert not has_built_members(spectrum_sn(n))
+            assert not has_built_members(spectrum_an(n))
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        capped = spectrum_sn(12), spectrum_an(12)
+        assert all(has_built_members(spec) for spec in capped)
+        monkeypatch.undo()
+        assert not any(has_built_members(spec) for spec in capped)
+
+    @pytest.mark.parametrize("group", ["s", "a"])
+    def test_entry_above_the_cap(self, capsys, tmp_path, group):
+        argv = ("spectrum", "--n", "41", "--group", group, "--format", "json")
+        _, plain, _ = run(capsys, *argv)
+        code, cold, _ = run(capsys, *argv, "--threads", "2", "--cache-dir", str(tmp_path))
+        assert code == 0 and cold == plain
+        assert load_spectrum(tmp_path, group.upper(), 41) is not None
+        code, warm, _ = run(capsys, *argv, "--threads", "1", "--cache-dir", str(tmp_path))
+        assert code == 0 and warm == plain
 
 
 class TestGraphCmd:
@@ -489,6 +542,12 @@ class TestVerifyCmd:
         assert report["inequalities"]
         for q in report["inequalities"]:
             assert q["relation"] == ">" and Fraction(q["left"]) > Fraction(q["right"])
+
+    def test_repeated_check_runs_once(self, capsys):
+        once = run(capsys, "verify", "--n", "7", "--checks", "sandwich")
+        assert run(capsys, "verify", "--n", "7", "--checks", "sandwich,sandwich") == once
+        pair = run(capsys, "verify", "--n", "7", "--checks", "sandwich,theorem1")
+        assert run(capsys, "verify", "--n", "7", "--checks", "sandwich,theorem1,sandwich") == pair
 
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "7", "--checks", "bogus")
