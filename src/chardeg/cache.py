@@ -1,13 +1,13 @@
 """On-disk cache of the spectra above MEMBER_CAP, which keep the members of
 their top two classes only and load faster than they build.
 
-One JSON file per (group, n), keyed by schema version.  Entries whose
-schema does not match, that fail to parse or have the wrong shape, that
-violate the spectrum mass invariant, or that store other members than a
-fresh build would are silently recomputed; the cache can speed things up
-but must never change a result.  Writes go through a temp file and an
-atomic rename.  An entry holds only the schema, the producer and the
-spectrum, so its bytes depend on nothing but the result.
+One JSON file per (group, n), byte for byte what ``spectrum --format
+json`` prints.  Entries of another schema or layout, of the wrong shape,
+off the mass invariant, with a size below 1 or degrees out of order, or
+with other members than a fresh build are silently recomputed; the cache
+must never change a result.  Sizes moved among the classes below the top
+two, keeping the mass and every size positive, cannot be caught without a
+full pass.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import json
 import os
 from pathlib import Path
 
-from . import __version__
-from .serialize import SCHEMA_VERSION, spectrum_from_doc, spectrum_to_doc
+from .serialize import spectrum_from_doc, spectrum_to_doc
 from .spectrum import DegreeSpectrum, has_built_members
 
 
@@ -29,10 +28,7 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
     path = cache_path(cache_dir, group, n)
     try:
         with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if entry.get("schema") != SCHEMA_VERSION:
-            return None
-        doc = entry["spectrum"]
+            doc = json.load(fh)
         if doc.get("group") != group.upper() or doc.get("n") != n:
             return None  # before the mass check computes n! for another n
         spec = spectrum_from_doc(doc)
@@ -45,18 +41,16 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
 
 
 def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
+    """Write ``spec``'s entry; raise ValueError for one load_spectrum rejects."""
+    if not has_built_members(spec):
+        raise ValueError(f"{spec.group}_{spec.n} is not a spectrum the cache keeps")
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     path = cache_path(directory, spec.group, spec.n)
-    entry = {
-        "schema": SCHEMA_VERSION,
-        "producer": f"chardeg {__version__}",
-        "spectrum": spectrum_to_doc(spec),
-    }
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2)
+            json.dump(spectrum_to_doc(spec), fh, indent=2)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

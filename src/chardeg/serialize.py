@@ -17,7 +17,7 @@ from .exact import decimal_str
 from .graph import PartitionGraph
 from .partitions import Partition, format_partition, parse_partition
 from .report import VerificationReport
-from .spectrum import DegreeClass, DegreeSpectrum, epsilon
+from .spectrum import DegreeClass, DegreeSpectrum, epsilon, splits
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +44,7 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
             "members": [format_partition(p) for p in c.members],
         }
         if spec.group == "A":
-            entry["splits"] = list(c.splits)
+            entry["splits"] = list(splits("A", c)) if c.members else []
         classes.append(entry)
     return {
         "schema": SCHEMA_VERSION,
@@ -59,7 +59,9 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
 
 
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
-    """Rebuild a spectrum from its document, re-validating the mass invariant."""
+    """Rebuild a spectrum from its document, re-validating the mass invariant,
+    positive sizes, strictly descending degrees, and the splits and
+    ``members_complete`` that its members give."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     group = doc["group"]
@@ -67,23 +69,31 @@ def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
         raise ValueError(f"unknown group tag {group!r}")
     n = int(doc["n"])
     classes = []
+    above = None
     for entry in doc["classes"]:
         members = tuple(parse_partition(t, max_n=n) for t in entry["members"])
-        splits = tuple(entry.get("splits", ())) if group == "A" else ()
-        classes.append(DegreeClass(int(entry["degree"]), int(entry["size"]), members, splits))
-    spec = DegreeSpectrum(n, group, tuple(classes), bool(doc["members_complete"]))
+        c = DegreeClass(int(entry["degree"]), int(entry["size"]), members)
+        if c.size < 1 or (above is not None and c.degree >= above):
+            raise ValueError(f"class sizes or degree order wrong in document for {group}_{n}")
+        if group == "A" and entry["splits"] != (list(splits("A", c)) if members else []):
+            raise ValueError("member splits disagree with the members")
+        above = c.degree
+        classes.append(c)
+    spec = DegreeSpectrum(n, group, tuple(classes))
     if spec.mass() != spec.group_order():
         raise ValueError(f"mass invariant violated in document for {group}_{spec.n}")
     if str(spec.b) != doc["b"]:
         raise ValueError("top degree disagrees with document")
+    if doc["members_complete"] != spec.members_complete:
+        raise ValueError("members_complete disagrees with the members")
     return spec
 
 
 def spectrum_to_csv(spec: DegreeSpectrum) -> str:
     lines = ["degree,multiplicity,members,splits"]
     for c in spec.classes:
-        splits = ";".join(str(s) for s in c.splits)
-        lines.append(f"{c.degree},{c.size},{csv_partition_list(c.members)},{splits}")
+        counts = ";".join(str(s) for s in splits("A", c)) if spec.group == "A" else ""
+        lines.append(f"{c.degree},{c.size},{csv_partition_list(c.members)},{counts}")
     eps = epsilon(spec)
     lines.append(f"epsilon,{eps},{decimal_str(eps)},")
     return "\n".join(lines) + "\n"
@@ -99,12 +109,10 @@ def spectrum_to_text(spec: DegreeSpectrum) -> str:
         f"epsilon: {eps} ({decimal_str(eps)})",
     ]
     for c in spec.classes:
-        members = "; ".join(format_partition(p) for p in c.members)
-        if spec.group == "A" and c.splits:
-            members = "; ".join(
-                f"{format_partition(p)}(x{s})" if s > 1 else format_partition(p)
-                for p, s in zip(c.members, c.splits)
-            )
+        members = "; ".join(
+            f"{format_partition(p)}(x{s})" if s > 1 else format_partition(p)
+            for p, s in zip(c.members, splits(spec.group, c))
+        )
         suffix = f"  [{members}]" if members else ""
         lines.append(f"  {c.degree} x{c.size}{suffix}")
     return "\n".join(lines) + "\n"

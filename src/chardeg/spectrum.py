@@ -47,11 +47,10 @@ MEMBER_CAP = 40
 class DegreeClass:
     """One distinct degree with the partitions that realize it.
 
-    For the symmetric group, members are the partitions themselves and
-    ``size == len(members)`` whenever members are stored in full.  For the
-    alternating group, members are conjugacy representatives and ``splits``
-    records how many characters each representative contributes (2 for a
-    self-conjugate partition, else 1); ``size`` counts characters.
+    For the symmetric group, members are the partitions themselves.  For
+    the alternating group, members are conjugacy representatives, the
+    larger partition of each conjugate pair; ``size`` counts characters,
+    and ``splits`` gives how many each member stands for.
 
     Not frozen, because a spectrum builds one per distinct degree and a
     frozen dataclass costs about three times as much to construct; treat
@@ -61,12 +60,19 @@ class DegreeClass:
     degree: int
     size: int
     members: tuple[Partition, ...]
-    splits: tuple[int, ...] = ()
 
-    @property
-    def complete(self) -> bool:
-        stored = sum(self.splits) if self.splits else len(self.members)
-        return stored == self.size
+
+def splits(group: str, c: DegreeClass) -> tuple[int, ...]:
+    """The characters each member of ``c`` stands for: one, but two for a
+    self-conjugate A_n representative, whose character splits."""
+    if group == "S" or not c.members:
+        return (1,) * len(c.members)
+    return tuple(2 if lam[0] == len(lam) and lam == conjugate(lam) else 1 for lam in c.members)
+
+
+def complete(group: str, c: DegreeClass) -> bool:
+    """True when ``c`` lists a member for each of its characters."""
+    return sum(splits(group, c)) == c.size
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,10 @@ class DegreeSpectrum:
     n: int
     group: str  # "S" or "A"
     classes: tuple[DegreeClass, ...]  # strictly decreasing degree
-    members_complete: bool
+
+    @property
+    def members_complete(self) -> bool:
+        return all(complete(self.group, c) for c in self.classes)
 
     @property
     def b(self) -> int:
@@ -115,9 +124,8 @@ class _Classes:
     or only of the two largest degrees added so far.
 
     ``classes`` maps a degree to [characters, members], where members is a
-    list, or None for a degree whose members are not kept.  A member is a
-    partition, or for the alternating group a (representative, characters)
-    pair.  A degree that drops out of the top two loses its members at once.
+    list of partitions, or None for a degree whose members are not kept.  A
+    degree that drops out of the top two loses its members at once.
     """
 
     __slots__ = ("classes", "all_members", "top")
@@ -197,16 +205,16 @@ def _pair_shard(
                 half, odd = divmod(d, 2)
                 if odd:
                     raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
-                alt.add(half, 2, ((lam, 2),))
+                alt.add(half, 2, (lam,))
         else:
             if sym is not None:
                 sym.add(d, 2, (lam, conj))
             if alt is not None:
-                alt.add(d, 1, ((lam, 1),))
+                alt.add(d, 1, (lam,))
     return {g: c.classes for g, c in (("S", sym), ("A", alt)) if c is not None}
 
 
-def _spectrum(n: int, group: str, classes: dict[int, list], all_members: bool) -> DegreeSpectrum:
+def _spectrum(n: int, group: str, classes: dict[int, list]) -> DegreeSpectrum:
     """The spectrum of ``_Classes.classes``, members in descending order.
 
     Members are sorted only where a class has more than one representative:
@@ -215,20 +223,10 @@ def _spectrum(n: int, group: str, classes: dict[int, list], all_members: bool) -
     out = []
     for deg in sorted(classes, reverse=True):
         size, kept = classes[deg]
-        if kept is None:
-            out.append(DegreeClass(deg, size, ()))
-        elif group == "S":
-            if len(kept) > 2 or (len(kept) == 2 and kept[0] < kept[1]):
-                kept.sort(reverse=True)
-            out.append(DegreeClass(deg, size, tuple(kept)))
-        elif len(kept) == 1:
-            lam, splits = kept[0]
-            out.append(DegreeClass(deg, size, (lam,), (splits,)))
-        else:
+        if kept and (len(kept) > 2 or (len(kept) == 2 and kept[0] < kept[1])):
             kept.sort(reverse=True)
-            members, splits = zip(*kept)
-            out.append(DegreeClass(deg, size, members, splits))
-    return _check_mass(DegreeSpectrum(n, group, tuple(out), all_members))
+        out.append(DegreeClass(deg, size, tuple(kept or ())))
+    return _check_mass(DegreeSpectrum(n, group, tuple(out)))
 
 
 def pool_size(threads: int, shards: int, cpus: int | None) -> int:
@@ -265,7 +263,7 @@ def _build(
             classes = {g: c.classes for g, c in merged.items()}
         else:
             classes = _pair_shard(n, None, groups, all_members, table)
-        return {g: _spectrum(n, g, classes[g], all_members) for g in groups}
+        return {g: _spectrum(n, g, classes[g]) for g in groups}
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -304,15 +302,13 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     Every member must be a partition of n, listed strictly descending in
     its class and in no other class, and must give back its class degree
     from its hook product; in A_n it is also the larger partition of its
-    conjugate pair and splits in two exactly when it is self-conjugate.
+    conjugate pair.
     """
-    n, alt = spec.n, spec.group == "A"
-    if spec.members_complete or n <= MEMBER_CAP:
+    n, group = spec.n, spec.group
+    if n <= MEMBER_CAP:
         return False
     kept, rest = spec.classes[:2], spec.classes[2:]
-    if not all(c.complete for c in kept) or any(c.members or c.splits for c in rest):
-        return False
-    if any(alt and len(c.splits) != len(c.members) for c in kept):
+    if not all(complete(group, c) for c in kept) or any(c.members for c in rest):
         return False
     if any(a <= b for c in kept for a, b in zip(c.members, c.members[1:])):
         return False
@@ -321,11 +317,11 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
         return False
     fact = factorial(n)
     for c in kept:
-        for lam, splits in zip(c.members, c.splits or (1,) * len(c.members)):
+        for lam, chars in zip(c.members, splits(group, c)):
             conj = conjugate(lam)
-            if alt and (lam < conj or splits != 1 + (lam == conj)):
+            if group == "A" and lam < conj:
                 return False
-            if splits * c.degree * hook_product(lam, conj) != fact:
+            if chars * c.degree * hook_product(lam, conj) != fact:
                 return False
     return True
 

@@ -9,8 +9,13 @@ import pytest
 from chardeg import cli, conjugate, enumerate_partitions, spectrum
 from chardeg.cache import cache_path, load_spectrum, store_spectrum
 from chardeg.partitions import parse_partition
-from chardeg.serialize import spectrum_to_doc
+from chardeg.serialize import json_text, spectrum_to_doc
 from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
+
+
+def md5(text):
+    # compared instead of the text, whose diff on failure takes minutes at n = 41
+    return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
 def run(capsys, *argv):
@@ -116,6 +121,23 @@ class TestSpectrumCmd:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (("--n", "24", "--group", "a"), "40beb1479a8c452cd8351399b4f12510"),
+            (("--n", "24", "--group", "a", "--format", "csv"), "f525c3bd737c94728cfbc64385b1bdb6"),
+            (("--n", "24", "--group", "a", "--format", "json"), "17bce929179402b57734cdd30c4dd251"),
+            (("--n", "41", "--group", "s", "--format", "json"), "36e4461473a5b268ce5dd918dfad88b2"),
+            (("--n", "41", "--group", "a", "--format", "json"), "68af6f8d2340e843d6307f73a6099b5f"),
+        ],
+        ids=["a24-text", "a24-csv", "a24-json", "s41-json", "a41-json"],
+    )
+    def test_golden_bytes(self, capsys, argv, expected, threads):
+        code, out, _ = run(capsys, "spectrum", *argv, "--threads", threads)
+        assert code == 0
+        assert md5(out) == expected
+
     def test_determinism_across_threads(self, capsys):
         _, out1, _ = run(capsys, "spectrum", "--n", "18", "--format", "json")
         _, out2, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "2")
@@ -124,9 +146,17 @@ class TestSpectrumCmd:
 
 
 def edit_entry(path, edit):
-    entry = json.loads(path.read_text())
-    edit(entry["spectrum"])
-    path.write_text(json.dumps(entry))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def plant_entry(cache_dir, spec):
+    """Write ``spec``'s document where its entry goes, whether or not the
+    cache would keep it."""
+    path = cache_path(cache_dir, spec.group, spec.n)
+    path.write_text(json_text(spectrum_to_doc(spec)))
+    return path
 
 
 def entry_is_a_list(path):
@@ -187,6 +217,38 @@ def swap_lower_members(doc):
     for c in doc["classes"]:
         c["members"] = sorted((swap.get(m, m) for m in c["members"]),
                               key=parse_partition, reverse=True)
+
+
+def swap_lower_classes(doc):
+    classes = doc["classes"]
+    classes[2], classes[3] = classes[3], classes[2]
+
+
+def split_a_lower_class(doc):
+    """A class below the top two becomes two entries of its degree."""
+    classes = doc["classes"]
+    i = next(i for i, c in enumerate(classes) if i >= 2 and c["size"] >= 2)
+    classes.insert(i + 1, dict(classes[i], size=1))
+    classes[i]["size"] -= 1
+
+
+def add_empty_class(doc):
+    """A class of size 0 between the third and fourth degree."""
+    classes = doc["classes"]
+    above, below = int(classes[2]["degree"]), int(classes[3]["degree"])
+    assert above - below >= 2
+    entry = dict(classes[3], degree=str((above + below) // 2), size=0)
+    classes.insert(3, entry)
+
+
+def negative_size_keeping_mass(doc):
+    """The third class drops to size -1; the degree-1 class at the end takes
+    its squared-degree mass."""
+    classes = doc["classes"]
+    moved = classes[2]["size"] + 1
+    classes[2]["size"] = -1
+    assert classes[-1]["degree"] == "1"
+    classes[-1]["size"] += moved * int(classes[2]["degree"]) ** 2
 
 
 class TestCache:
@@ -250,6 +312,22 @@ class TestCache:
         edit_entry(path, lambda doc: doc["classes"][1].update(members=[]))
         assert load_spectrum(tmp_path, "S", 12) is None
 
+    # classes below the top two keep no members, so only the document's
+    # degree order and sizes give these edits away
+    @pytest.mark.parametrize("group", ["S", "A"])
+    @pytest.mark.parametrize(
+        "edit",
+        [swap_lower_classes, split_a_lower_class, add_empty_class, negative_size_keeping_mass],
+    )
+    def test_wrong_lower_classes_are_a_miss(self, capsys, tmp_path, group, edit):
+        argv = ("spectrum", "--n", "12", "--group", group.lower())
+        _, cold, _ = run(capsys, *argv)
+        path = store_spectrum(tmp_path, (spectrum_sn if group == "S" else spectrum_an)(12))
+        edit_entry(path, edit)
+        assert load_spectrum(tmp_path, group, 12) is None
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == cold
+
     @pytest.mark.parametrize("group", ["S", "A"])
     def test_extra_members_above_cap_is_a_miss(self, tmp_path, monkeypatch, group):
         build = spectrum_sn if group == "S" else spectrum_an
@@ -259,7 +337,9 @@ class TestCache:
         capped = build(12)
         store_spectrum(tmp_path, capped)
         assert load_spectrum(tmp_path, group, 12) == capped
-        path = store_spectrum(tmp_path, complete)
+        with pytest.raises(ValueError):
+            store_spectrum(tmp_path, complete)
+        path = plant_entry(tmp_path, complete)
         assert load_spectrum(tmp_path, group, 12) is None
         edit_entry(path, lambda doc: doc.update(members_complete=False))
         assert load_spectrum(tmp_path, group, 12) is None
@@ -276,10 +356,8 @@ class TestCache:
             capsys, "spectrum", "--n", "9", "--format", "json", "--cache-dir", str(tmp_path)
         )
         assert code == 0
-        path = cache_path(tmp_path, "S", 9)
-        assert path.exists()
-        entry = json.loads(path.read_text())
-        assert entry["schema"] == 1 and entry["spectrum"]["n"] == 9
+        # the entry is the document the run printed
+        assert cache_path(tmp_path, "S", 9).read_text() == out1
         code, out2, _ = run(
             capsys, "spectrum", "--n", "9", "--format", "json", "--cache-dir", str(tmp_path)
         )
@@ -303,17 +381,35 @@ class TestCache:
         assert code == 0
         assert json.loads(out)["b"] == "90"
         # rewritten with a valid entry
-        assert json.loads(path.read_text())["spectrum"]["b"] == "90"
+        assert path.read_text() == out
 
     def test_version_mismatch_recomputed(self, capsys, tmp_path):
         path = cache_path(tmp_path, "S", 8)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"schema": 99, "spectrum": {}}))
+        doc = spectrum_to_doc(spectrum_sn(8))
+        path.write_text(json_text(dict(doc, schema=99)))
+        assert load_spectrum(tmp_path, "S", 8) is None
         code, out, _ = run(
             capsys, "spectrum", "--n", "8", "--format", "json", "--cache-dir", str(tmp_path)
         )
         assert code == 0
         assert json.loads(out)["b"] == "90"
+        assert path.read_text() == out == json_text(doc)
+
+    def test_wrapped_entry_is_replaced(self, capsys, tmp_path):
+        # the earlier layout wrapped the document in schema, producer and
+        # spectrum keys; it has no group, so it is a miss and is rewritten
+        spec = spectrum_sn(12)
+        path = cache_path(tmp_path, "S", 12)
+        wrapped = {"schema": 1, "producer": "chardeg 0.1.0", "spectrum": spectrum_to_doc(spec)}
+        path.write_text(json.dumps(wrapped, indent=2) + "\n")
+        assert load_spectrum(tmp_path, "S", 12) is None
+        code, out, _ = run(
+            capsys, "spectrum", "--n", "12", "--format", "json", "--cache-dir", str(tmp_path)
+        )
+        assert code == 0 and out == json_text(spectrum_to_doc(spec))
+        assert path.read_text() == out
+        assert load_spectrum(tmp_path, "S", 12) == spec
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
@@ -338,10 +434,11 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["s008.json"]
 
     def test_entry_holds_only_result(self, tmp_path):
-        path = store_spectrum(tmp_path, spectrum_sn(9))
+        spec = spectrum_sn(9)
+        path = store_spectrum(tmp_path, spec)
         first = path.read_bytes()
-        assert set(json.loads(first)) == {"schema", "producer", "spectrum"}
-        store_spectrum(tmp_path, spectrum_sn(9))
+        assert first == json_text(spectrum_to_doc(spec)).encode("utf-8")
+        store_spectrum(tmp_path, spec)
         assert path.read_bytes() == first
 
     def test_entry_with_timestamp_still_loads(self, tmp_path):
@@ -361,15 +458,20 @@ class TestCacheAtTheMemberCap:
         ("n", "group", "threads"), [(6, "s", "1"), (6, "a", "1"), (40, "s", "2"), (40, "a", "1")]
     )
     def test_no_entry_at_or_below_the_cap(self, capsys, tmp_path, n, group, threads):
-        path = store_spectrum(tmp_path, spectrum_sn(6))
+        path = plant_entry(tmp_path, spectrum_sn(6))
         edit_entry(path, swap_lower_members)
         planted = path.read_bytes()
         argv = ("spectrum", "--n", str(n), "--group", group, "--threads", threads)
         _, plain, _ = run(capsys, *argv)
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
-        assert code == 0 and out == plain and not err
+        assert code == 0 and md5(out) == md5(plain) and not err
         assert [p.name for p in tmp_path.iterdir()] == ["s006.json"]
         assert path.read_bytes() == planted
+
+    def test_no_entry_is_stored_at_or_below_the_cap(self, tmp_path):
+        with pytest.raises(ValueError):
+            store_spectrum(tmp_path, spectrum_sn(6))
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_spectrum_at_or_below_the_cap_has_built_members(self, monkeypatch):
         for n in range(2, 13):
@@ -386,10 +488,20 @@ class TestCacheAtTheMemberCap:
         argv = ("spectrum", "--n", "41", "--group", group, "--format", "json")
         _, plain, _ = run(capsys, *argv)
         code, cold, _ = run(capsys, *argv, "--threads", "2", "--cache-dir", str(tmp_path))
-        assert code == 0 and cold == plain
+        assert code == 0 and md5(cold) == md5(plain)
+        assert md5(cache_path(tmp_path, group, 41).read_text()) == md5(cold)
         assert load_spectrum(tmp_path, group.upper(), 41) is not None
         code, warm, _ = run(capsys, *argv, "--threads", "1", "--cache-dir", str(tmp_path))
-        assert code == 0 and warm == plain
+        assert code == 0 and md5(warm) == md5(plain)
+
+
+    def test_swapped_lower_classes_are_a_miss(self, capsys, tmp_path):
+        _, plain, _ = run(capsys, "spectrum", "--n", "41")
+        assert md5(plain) == "84502cd247043f0fbf4b334c79c11596"
+        run(capsys, "spectrum", "--n", "41", "--cache-dir", str(tmp_path))
+        edit_entry(cache_path(tmp_path, "S", 41), swap_lower_classes)
+        code, out, _ = run(capsys, "spectrum", "--n", "41", "--cache-dir", str(tmp_path))
+        assert code == 0 and md5(out) == md5(plain)
 
 
 class TestGraphCmd:
@@ -596,16 +708,16 @@ class TestVerifyCmd:
         assert code == 0 and out.startswith("PASS")
 
     @pytest.mark.parametrize(
-        "fmt,md5",
+        "fmt,expected",
         [("json", "44516d161a26efea7c5b32340878189b"), ("text", "8a3cdb26df5348e3bc2d7830cf0ce694")],
     )
-    def test_golden_bytes(self, capsys, fmt, md5):
+    def test_golden_bytes(self, capsys, fmt, expected):
         # pins every report's bytes over n = 5..20, so a refactor that
         # changes one fails here
         code, out, _ = run(capsys, "verify", "--range", "5..20", "--checks", "all",
                            "--format", fmt)
         assert code == 0
-        assert hashlib.md5(out.encode("utf-8")).hexdigest() == md5
+        assert md5(out) == expected
 
     def test_threads_other_than_one_rejected(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

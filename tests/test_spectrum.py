@@ -26,7 +26,7 @@ from chardeg import (
 )
 from chardeg import spectrum
 from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, VerificationReport
-from chardeg.spectrum import MEMBER_CAP, degree_table, pool_size
+from chardeg.spectrum import MEMBER_CAP, complete, degree_table, pool_size, splits
 
 
 class TestSpectrumSn:
@@ -57,7 +57,7 @@ class TestSpectrumSn:
     def test_members_complete_below_cap(self):
         spec = spectrum_sn(12)
         assert spec.members_complete
-        assert all(c.complete for c in spec.classes)
+        assert all(complete("S", c) for c in spec.classes)
         assert sum(c.size for c in spec.classes) == sum(1 for _ in enumerate_partitions(12))
 
     def test_members_truncated_above_cap(self, monkeypatch):
@@ -65,7 +65,7 @@ class TestSpectrumSn:
         spec = spectrum_sn(12)
         assert not spec.members_complete
         # the top two classes keep their members, the checks read both
-        assert all(c.complete and c.members for c in spec.classes[:2])
+        assert all(complete("S", c) and c.members for c in spec.classes[:2])
         assert all(c.members == () for c in spec.classes[2:])
 
     def test_top_two_members_above_cap(self, monkeypatch):
@@ -190,7 +190,7 @@ class TestMembersDescending:
             for group, build in (("S", spectrum_sn), ("A", spectrum_an)):
                 for _size, kept in classes[group].values():
                     kept.reverse()
-                assert spectrum._spectrum(n, group, classes[group], True) == build(n)
+                assert spectrum._spectrum(n, group, classes[group]) == build(n)
 
 
 class TestPoolSize:
@@ -214,7 +214,7 @@ class TestSpectrumAn:
         assert [(c.degree, c.size) for c in spec.classes] == [(5, 1), (4, 1), (3, 2), (1, 1)]
         # the split class stores the self-conjugate representative
         three = spec.classes[2]
-        assert three.members == ((3, 1, 1),) and three.splits == (2,)
+        assert three.members == ((3, 1, 1),) and splits("A", three) == (2,)
 
     def test_a6(self):
         spec = spectrum_an(6)
