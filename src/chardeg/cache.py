@@ -3,11 +3,12 @@ their top two classes only and load faster than they build.
 
 One JSON file per (group, n), byte for byte what ``spectrum --format
 json`` prints.  Entries of another schema or layout, of the wrong shape,
-off the mass invariant, with a size below 1 or degrees out of order, or
-with other members than a fresh build are silently recomputed; the cache
-must never change a result.  Sizes moved among the classes below the top
-two, keeping the mass and every size positive, cannot be caught without a
-full pass.  Writes go through a temp file and an atomic rename.
+off an identity of ``check_invariants``, with a size below 1 or degrees
+out of order, or with other members than a fresh build are silently
+recomputed; the cache must never change a result.  Positive sizes edited
+below the top two classes still load if they keep the count and the mass,
+and for S_n Σ size·degree too; only a full pass could catch them.  Writes
+go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 from pathlib import Path
 
-from .serialize import spectrum_from_doc, spectrum_to_doc
+from .serialize import json_text, spectrum_from_doc, spectrum_to_doc
 from .spectrum import DegreeSpectrum, has_built_members
 
 
@@ -30,13 +31,13 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("group") != group.upper() or doc.get("n") != n:
-            return None  # before the mass check computes n! for another n
+            return None  # before the invariant check computes n! for another n
         spec = spectrum_from_doc(doc)
         if not has_built_members(spec):
             return None  # a hit must print what a fresh build prints
         return spec
     # AttributeError: a list, number or null where an object or string belongs
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, ArithmeticError, KeyError, TypeError, AttributeError):
         return None
 
 
@@ -50,8 +51,7 @@ def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(spectrum_to_doc(spec), fh, indent=2)
-            fh.write("\n")
+            fh.write(json_text(spectrum_to_doc(spec)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -17,7 +17,7 @@ from .exact import decimal_str
 from .graph import PartitionGraph
 from .partitions import Partition, format_partition, parse_partition
 from .report import VerificationReport
-from .spectrum import DegreeClass, DegreeSpectrum, epsilon, splits
+from .spectrum import DegreeClass, DegreeSpectrum, check_invariants, epsilon, splits
 
 SCHEMA_VERSION = 1
 
@@ -59,9 +59,9 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
 
 
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
-    """Rebuild a spectrum from its document, re-validating the mass invariant,
-    positive sizes, strictly descending degrees, and the splits and
-    ``members_complete`` that its members give."""
+    """Rebuild a spectrum from its document, re-validating positive sizes,
+    strictly descending degrees, the splits and ``members_complete`` that its
+    members give (ValueError), and ``check_invariants`` (ArithmeticError)."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     group = doc["group"]
@@ -79,9 +79,7 @@ def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
             raise ValueError("member splits disagree with the members")
         above = c.degree
         classes.append(c)
-    spec = DegreeSpectrum(n, group, tuple(classes))
-    if spec.mass() != spec.group_order():
-        raise ValueError(f"mass invariant violated in document for {group}_{spec.n}")
+    spec = check_invariants(DegreeSpectrum(n, group, tuple(classes)))
     if str(spec.b) != doc["b"]:
         raise ValueError("top degree disagrees with document")
     if doc["members_complete"] != spec.members_complete:

@@ -23,6 +23,7 @@ from .hooks import hook_product
 from .partitions import (
     Partition,
     conjugate,
+    count_partitions,
     enumerate_partitions,
     format_partition,
     iter_moves,
@@ -110,12 +111,37 @@ class DegreeSpectrum:
         return self.group_order() - self.m1_size * self.b * self.b
 
 
-def _check_mass(spec: DegreeSpectrum) -> DegreeSpectrum:
-    if spec.mass() != spec.group_order():
-        raise ArithmeticError(
-            f"degree mass mismatch for {spec.group}_{spec.n}: "
-            f"{spec.mass()} != {spec.group_order()}"
-        )
+def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
+    """Return ``spec`` after checking identities that need no hook formula,
+    as every built or loaded spectrum must: Σ size·d² = |G|; for S_n also
+    Σ size = p(n) and Σ size·d = t(n), the involutions, since every
+    character is real with indicator 1; for A_n also 2·Σ size = p(n) +
+    3·sc(n), as a self-conjugate partition gives two characters.  Raise
+    ArithmeticError on the first that fails."""
+    n = spec.n
+    count = first = mass = 0
+    for c in spec.classes:
+        count += c.size
+        sd = c.size * c.degree
+        first += sd
+        mass += sd * c.degree
+    identities = [("degree mass", mass, spec.group_order())]
+    if spec.group == "S":
+        t = [1, 1]  # t(k) = t(k-1) + (k-1)·t(k-2)
+        for k in range(2, n + 1):
+            t.append(t[-1] + (k - 1) * t[-2])
+        identities += [("character count", count, count_partitions(n)),
+                       ("degree sum", first, t[n])]
+    else:
+        sc = [1] + [0] * n  # sc(m): partitions of m into distinct odd parts
+        for part in range(1, n + 1, 2):
+            for m in range(n, part - 1, -1):
+                sc[m] += sc[m - part]
+        identities.append(("twice the character count", 2 * count,
+                           count_partitions(n) + 3 * sc[n]))
+    for name, got, want in identities:
+        if got != want:
+            raise ArithmeticError(f"{name} mismatch for {spec.group}_{n}: {got} != {want}")
     return spec
 
 
@@ -226,7 +252,7 @@ def _spectrum(n: int, group: str, classes: dict[int, list]) -> DegreeSpectrum:
         if kept and (len(kept) > 2 or (len(kept) == 2 and kept[0] < kept[1])):
             kept.sort(reverse=True)
         out.append(DegreeClass(deg, size, tuple(kept or ())))
-    return _check_mass(DegreeSpectrum(n, group, tuple(out)))
+    return check_invariants(DegreeSpectrum(n, group, tuple(out)))
 
 
 def pool_size(threads: int, shards: int, cpus: int | None) -> int:
@@ -240,7 +266,7 @@ def _build(
     n: int, groups: str, threads: int = 1, table: dict | None = None
 ) -> dict[str, DegreeSpectrum]:
     """The spectra of n for each group in ``groups``, from a process pool
-    sharded by largest part when more than one worker is available, else
+    sharded by largest part above MEMBER_CAP with two or more workers, else
     from one sequential pass that also fills ``table`` when given.  The
     pass allocates no reference cycles, so the cyclic garbage collector is
     paused while it runs."""
@@ -249,7 +275,7 @@ def _build(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if workers > 1 and n >= 18:
+        if workers > 1 and n > MEMBER_CAP:
             # each shard keeps its own top two degrees, so merging keeps the
             # global top two; shards are merged, and dropped, as they arrive
             merged = {g: _Classes(all_members) for g in groups}
@@ -365,8 +391,7 @@ def clear_spectrum_cache() -> None:
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:
     """Sum of squared degrees strictly below the top degree, over its square."""
-    b2 = spec.b * spec.b
-    return Fraction(spec.group_order() - spec.m1_size * b2, b2)
+    return Fraction(spec.sum_squares_below_top(), spec.b * spec.b)
 
 
 def spectrum_xy(n: int) -> tuple[int, int]:
@@ -386,48 +411,36 @@ def spectrum_xy(n: int) -> tuple[int, int]:
     return x, y
 
 
-def verify_theorem2(n: int, *, override_domain: bool = False) -> VerificationReport:
-    """Squared degrees below b(S_n) dominate twice its square (stated n >= 7)."""
-    if n < 7 and not override_domain:
-        raise ValueError("theorem2 is stated for n >= 7 (use override to force)")
-    spec = cached_spectrum("S", n)
-    left = spec.sum_squares_below_top()
-    right = 2 * spec.b * spec.b
-    ineq = Inequality("below-top-sum-exceeds-twice-square", left, ">", right)
-    if n < 7:
-        status = INFORMATIONAL
-    else:
-        status = PASS if ineq.holds() else FAIL
+def _dominance(
+    n: int, group: str, floor: int, factor: int, check: str, label: str, top: str,
+    override_domain: bool,
+) -> VerificationReport:
+    """Squared degrees below the top degree b against ``factor``·b², stated
+    for n >= ``floor`` and informational below it."""
+    if n < floor and not override_domain:
+        raise ValueError(f"{check} is stated for n >= {floor} (use override to force)")
+    spec = cached_spectrum(group, n)
+    ineq = Inequality(label, spec.sum_squares_below_top(), ">", factor * spec.b * spec.b)
     return VerificationReport(
-        check="theorem2",
+        check=check,
         n=n,
-        status=status,
+        status=INFORMATIONAL if n < floor else PASS if ineq.holds() else FAIL,
         inequalities=(ineq,),
         witnesses=spec.maximizers,
-        notes=(f"b={spec.b}", f"|M_1|={spec.m1_size}"),
+        notes=(f"b={spec.b}", f"{top}={spec.m1_size}"),
     )
+
+
+def verify_theorem2(n: int, *, override_domain: bool = False) -> VerificationReport:
+    """Squared degrees below b(S_n) dominate twice its square (stated n >= 7)."""
+    return _dominance(n, "S", 7, 2, "theorem2", "below-top-sum-exceeds-twice-square", "|M_1|",
+                      override_domain)
 
 
 def verify_theorem1(n: int, *, override_domain: bool = False) -> VerificationReport:
     """Squared degrees below b(A_n) dominate its square (stated n >= 5)."""
-    if n < 5 and not override_domain:
-        raise ValueError("theorem1 is stated for n >= 5 (use override to force)")
-    spec = cached_spectrum("A", n)
-    left = spec.sum_squares_below_top()
-    right = spec.b * spec.b
-    ineq = Inequality("below-top-sum-exceeds-square", left, ">", right)
-    if n < 5:
-        status = INFORMATIONAL
-    else:
-        status = PASS if ineq.holds() else FAIL
-    return VerificationReport(
-        check="theorem1",
-        n=n,
-        status=status,
-        inequalities=(ineq,),
-        witnesses=spec.maximizers,
-        notes=(f"b={spec.b}", f"multiplicity={spec.m1_size}"),
-    )
+    return _dominance(n, "A", 5, 1, "theorem1", "below-top-sum-exceeds-square", "multiplicity",
+                      override_domain)
 
 
 def sandwich_check(n: int) -> VerificationReport:
@@ -480,6 +493,16 @@ def _scan_degrees(parts: Partition) -> dict[Partition, int]:
     return {moved: table[moved] for _i, _j, moved in iter_moves(parts)}
 
 
+def _move_mass(members, below: int, target, label: str) -> list[Inequality]:
+    """Per member, the squared degrees of its single-node moves below
+    ``below`` against ``target``; ``label`` names the member at ``{}``."""
+    return [
+        Inequality(label.format(format_partition(lam)),
+                   sum(d * d for d in _scan_degrees(lam).values() if d < below), ">", target)
+        for lam in members
+    ]
+
+
 def induced_bound_check(n: int) -> VerificationReport:
     """Induced-character mass below the relevant top degree, per maximizer.
 
@@ -496,15 +519,8 @@ def induced_bound_check(n: int) -> VerificationReport:
     b_s = s_spec.b
     root2n = sqrt_upper(2 * n)
     notes = []
-    witnesses = []
-
-    s_records = []
-    for lam in s_spec.maximizers:
-        mass = sum(d * d for d in _scan_degrees(lam).values() if d < b_s)
-        s_records.append(
-            Inequality(f"induced-mass[{format_partition(lam)}]", mass, ">", 2 * b_s * b_s)
-        )
-        witnesses.append(lam)
+    witnesses = list(s_spec.maximizers)
+    s_records = _move_mass(s_spec.maximizers, b_s, 2 * b_s * b_s, "induced-mass[{}]")
     analytic_s = clamped_square_over(n - root2n - 30, 2 * n) * b_s * b_s
     notes.append(f"symmetric-analytic-context={decimal_str(analytic_s)}")
     hyp_s = n >= 50 and s_spec.m1_size <= 31
@@ -521,12 +537,8 @@ def induced_bound_check(n: int) -> VerificationReport:
     )
     if reduced:
         m2 = s_spec.classes[1]
-        for mu in m2.members:
-            mass = sum(d * d for d in _scan_degrees(mu).values() if d < b_a)
-            a_records.append(
-                Inequality(f"induced-mass[{format_partition(mu)}]", mass, ">", 2 * b_a * b_a)
-            )
-            witnesses.append(mu)
+        a_records = _move_mass(m2.members, b_a, 2 * b_a * b_a, "induced-mass[{}]")
+        witnesses.extend(m2.members)
         analytic_a = clamped_square_over(n - root2n - 20, 2 * n) * b_a * b_a
         notes.append(f"alternating-analytic-context={decimal_str(analytic_a)}")
         hyp_a = n >= 43 and m2.size <= 19
@@ -536,14 +548,11 @@ def induced_bound_check(n: int) -> VerificationReport:
 
     decisive = []
     ok = True
-    if hyp_s:
-        held = [q for q in s_records if q.holds()]
-        decisive.extend(held if held else s_records)
-        ok = ok and bool(held)
-    if hyp_a:
-        held = [q for q in a_records if q.holds()]
-        decisive.extend(held if held else a_records)
-        ok = ok and bool(held)
+    for hyp, branch in ((hyp_s, s_records), (hyp_a, a_records)):
+        if hyp:
+            held = [q for q in branch if q.holds()]
+            decisive.extend(held or branch)
+            ok = ok and bool(held)
     if hyp_s or hyp_a:
         status = PASS if ok else FAIL
         records = tuple(decisive)
@@ -559,16 +568,6 @@ def induced_bound_check(n: int) -> VerificationReport:
         witnesses=tuple(witnesses),
         notes=tuple(notes),
     )
-
-
-def _symmetric_scan_records(spec: DegreeSpectrum, target: int) -> list[Inequality]:
-    """Per-maximizer single-node-move mass against ``target``."""
-    b = spec.b
-    records = []
-    for lam in spec.maximizers:
-        mass = sum(d * d for d in _scan_degrees(lam).values() if d != b)
-        records.append(Inequality(f"move-mass[{format_partition(lam)}]", mass, ">", target))
-    return records
 
 
 def move_scan_verify(n: int, group: str) -> VerificationReport:
@@ -591,64 +590,59 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
         raise ValueError("alternating move scan is stated for n >= 5")
     s_spec = cached_spectrum("S", n)
     b_s = s_spec.b
+    b_a = cached_spectrum("A", n).b if group == "A" else b_s
     notes = []
     witnesses = tuple(s_spec.maximizers)
 
-    if group == "S":
-        records = _symmetric_scan_records(s_spec, 2 * b_s * b_s)
-        fallback_holds = verify_theorem2(n).passed
-    else:
-        a_spec = cached_spectrum("A", n)
-        b_a = a_spec.b
-        if b_a == b_s:
+    if b_a == b_s:
+        if group == "A":
             notes.append("equal-top-degrees: symmetric scan at twice the squared degree")
-            records = _symmetric_scan_records(s_spec, 2 * b_s * b_s)
-        elif s_spec.m1_size >= 2:
-            # every maximizer is self-conjugate, so four characters of
-            # degree b_s/2 already dominate
-            notes.append("multiple-self-conjugate-maximizers")
-            records = [Inequality("four-split-characters", b_s * b_s, ">", b_a * b_a)]
-        elif len(s_spec.classes) > 1 and s_spec.classes[1].degree > b_a:
-            b_2 = s_spec.classes[1].degree
-            notes.append("intermediate-self-conjugate-degree")
+        # no move has a degree above b_s, so this leaves out the moves of top degree
+        records = _move_mass(s_spec.maximizers, b_s, 2 * b_s * b_s, "move-mass[{}]")
+    elif s_spec.m1_size >= 2:
+        # every maximizer is self-conjugate, so four characters of
+        # degree b_s/2 already dominate
+        notes.append("multiple-self-conjugate-maximizers")
+        records = [Inequality("four-split-characters", b_s * b_s, ">", b_a * b_a)]
+    elif len(s_spec.classes) > 1 and s_spec.classes[1].degree > b_a:
+        b_2 = s_spec.classes[1].degree
+        notes.append("intermediate-self-conjugate-degree")
+        records = [
+            Inequality(
+                "split-characters-mass",
+                Fraction(b_s * b_s, 2) + Fraction(b_2 * b_2, 2),
+                ">",
+                b_a * b_a,
+            )
+        ]
+    else:
+        lam = s_spec.maximizers[0]
+        up = lambda_up(lam)
+        dn = lambda_dn(lam)
+        if up is None or dn is None:
+            raise ArithmeticError(f"maximizer {lam} lacks a neighbor move")
+        degrees = _scan_degrees(lam)
+        d_up = degrees[up]
+        d_dn = degrees[dn]
+        notes.append(
+            f"neighbors: up={format_partition(up)} degree {d_up}, "
+            f"dn={format_partition(dn)} degree {d_dn}"
+        )
+        if b_a != d_up and b_a != d_dn:
+            notes.append("case=1 (top alternating degree away from both neighbors)")
             records = [
                 Inequality(
-                    "split-characters-mass",
-                    Fraction(b_s * b_s, 2) + Fraction(b_2 * b_2, 2),
+                    "neighbor-squares-exceed-half",
+                    d_up * d_up + d_dn * d_dn,
                     ">",
-                    b_a * b_a,
+                    Fraction(b_s * b_s, 2),
                 )
             ]
         else:
-            lam = s_spec.maximizers[0]
-            up = lambda_up(lam)
-            dn = lambda_dn(lam)
-            if up is None or dn is None:
-                raise ArithmeticError(f"maximizer {lam} lacks a neighbor move")
-            table = degree_table(n)
-            d_up = table[up]
-            d_dn = table[dn]
-            notes.append(
-                f"neighbors: up={format_partition(up)} degree {d_up}, "
-                f"dn={format_partition(dn)} degree {d_dn}"
-            )
-            if b_a != d_up and b_a != d_dn:
-                notes.append("case=1 (top alternating degree away from both neighbors)")
-                records = [
-                    Inequality(
-                        "neighbor-squares-exceed-half",
-                        d_up * d_up + d_dn * d_dn,
-                        ">",
-                        Fraction(b_s * b_s, 2),
-                    )
-                ]
-            else:
-                degrees = _scan_degrees(lam)
-                top = max(degrees.values())
-                mass = sum(d * d for d in degrees.values() if d < top)
-                notes.append(f"case=2 (top scanned degree {top}, b(A)={b_a})")
-                records = [Inequality("sub-top-move-mass", mass, ">", top * top)]
-        fallback_holds = verify_theorem1(n).passed
+            top = max(degrees.values())
+            notes.append(f"case=2 (top scanned degree {top}, b(A)={b_a})")
+            records = _move_mass((lam,), top, top * top, "sub-top-move-mass")
+    fallback_holds = (verify_theorem2 if group == "S" else verify_theorem1)(n).passed
 
     held = [q for q in records if q.holds()]
     if held:

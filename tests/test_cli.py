@@ -138,7 +138,10 @@ class TestSpectrumCmd:
         assert code == 0
         assert md5(out) == expected
 
-    def test_determinism_across_threads(self, capsys):
+    def test_determinism_across_threads(self, capsys, monkeypatch):
+        # the pool starts only above the member cap; no cache is read here
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 12)
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         _, out1, _ = run(capsys, "spectrum", "--n", "18", "--format", "json")
         _, out2, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "2")
         _, out3, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "3")
@@ -251,6 +254,17 @@ def negative_size_keeping_mass(doc):
     classes[-1]["size"] += moved * int(classes[2]["degree"]) ** 2
 
 
+def sizes_moved(moves):
+    """Add ``moves[degree]`` to the size of the class of each degree."""
+
+    def edit(doc):
+        assert {int(c["degree"]) for c in doc["classes"]} >= moves.keys()
+        for c in doc["classes"]:
+            c["size"] += moves.get(int(c["degree"]), 0)
+
+    return edit
+
+
 class TestCache:
     @pytest.fixture(autouse=True)
     def member_cap_5(self, monkeypatch):
@@ -325,6 +339,31 @@ class TestCache:
         path = store_spectrum(tmp_path, (spectrum_sn if group == "S" else spectrum_an)(12))
         edit_entry(path, edit)
         assert load_spectrum(tmp_path, group, 12) is None
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and out == cold
+
+    # each edit keeps the mass and every size positive below the top two;
+    # the other identities of check_invariants give it away
+    @pytest.mark.parametrize(
+        ("group", "n", "moves"),
+        [
+            ("S", 12, {4455: -1, 3564: 1, 2673: 1}),  # 4455² = 3564² + 2673²
+            ("S", 12, {3564: 1, 297: 1, 2673: -1, 2376: -1}),  # keeps the count too
+            ("A", 13, {4290: -1, 3432: 1, 2574: 1}),  # 4290² = 3432² + 2574²
+        ],
+        ids=["S-count", "S-degree-sum", "A-count"],
+    )
+    def test_size_moves_keeping_the_mass_are_a_miss(self, capsys, tmp_path, group, n, moves):
+        argv = ("spectrum", "--n", str(n), "--group", group.lower())
+        _, cold, _ = run(capsys, *argv)
+        spec = (spectrum_sn if group == "S" else spectrum_an)(n)
+        path = store_spectrum(tmp_path, spec)
+        assert load_spectrum(tmp_path, group, n) == spec
+        edit_entry(path, sizes_moved(moves))
+        classes = json.loads(path.read_text())["classes"]
+        assert all(c["size"] >= 1 for c in classes)
+        assert sum(c["size"] * int(c["degree"]) ** 2 for c in classes) == spec.mass()
+        assert load_spectrum(tmp_path, group, n) is None
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
@@ -716,6 +755,24 @@ class TestVerifyCmd:
         # changes one fails here
         code, out, _ = run(capsys, "verify", "--range", "5..20", "--checks", "all",
                            "--format", fmt)
+        assert code == 0
+        assert md5(out) == expected
+
+    @pytest.mark.parametrize(
+        "span,expected",
+        [
+            (("--n", "44"), "7c540cf83417f69cbe06ba040e6ca497"),
+            (("--n", "50"), "4781547ae1e23f6f6ff4cc97de509a3a"),
+            pytest.param(("--range", "50..60"), "8d04e17a819273f565b17a84efaab0d7",
+                         marks=pytest.mark.stretch),
+        ],
+        ids=["n44", "n50", "range50-60"],
+    )
+    def test_golden_bytes_with_induced_hypotheses_active(self, capsys, span, expected):
+        # the alternating induced-bound hypotheses hold at n = 44 and the
+        # symmetric ones at n = 50, which 5..20 never reaches
+        code, out, _ = run(capsys, "verify", *span, "--checks", "theorem1,theorem2,sandwich,"
+                           "move-scan,induced-bound,epsilon-bounds", "--format", "json")
         assert code == 0
         assert md5(out) == expected
 

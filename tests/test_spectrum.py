@@ -10,6 +10,7 @@ import pytest
 from chardeg import (
     branch_decompose,
     cached_spectrum,
+    conjugate,
     count_standard_tableaux,
     degree_sn,
     enumerate_partitions,
@@ -26,7 +27,16 @@ from chardeg import (
 )
 from chardeg import spectrum
 from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, VerificationReport
-from chardeg.spectrum import MEMBER_CAP, complete, degree_table, pool_size, splits
+from chardeg.spectrum import (
+    MEMBER_CAP,
+    DegreeClass,
+    DegreeSpectrum,
+    check_invariants,
+    complete,
+    degree_table,
+    pool_size,
+    splits,
+)
 
 
 class TestSpectrumSn:
@@ -91,9 +101,23 @@ class TestSpectrumSn:
         with pytest.raises(ValueError):
             spectrum_sn(21, max_n=20)
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
+        # the pool starts only above the member cap
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
         for n in (19, 24):
             assert spectrum_sn(n, threads=2) == spectrum_sn(n)
+
+    def test_no_pool_at_or_below_the_cap(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(spectrum, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 2)
+        assert spectrum_sn(18, threads=2) == spectrum_sn(18)
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 12)
+        spectrum_an(12, threads=2)
+        with pytest.raises(AssertionError, match="pool started"):
+            spectrum_an(13, threads=2)
 
 
 # the store's pass and the 1-worker spectra; each pauses the collector
@@ -234,8 +258,76 @@ class TestSpectrumAn:
         with pytest.raises(ValueError):
             spectrum_an(1)
 
-    def test_parallel_equals_sequential(self):
+    def test_parallel_equals_sequential(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
         assert spectrum_an(21, threads=2) == spectrum_an(21)
+
+
+@pytest.fixture(scope="module")
+def moments():
+    """Per n = 2..40: p(n) and sc(n), counted in the degree table, and the
+    character counts and S_n degree sum of the store's spectra."""
+    out = {}
+    for n in range(2, 41):
+        table = degree_table(n)
+        s_classes = cached_spectrum("S", n).classes
+        out[n] = {
+            "p": len(table),
+            "sc": sum(1 for lam in table if lam == conjugate(lam)),
+            "s_count": sum(c.size for c in s_classes),
+            "s_degree_sum": sum(c.size * c.degree for c in s_classes),
+            "a_count": sum(c.size for c in cached_spectrum("A", n).classes),
+        }
+    return out
+
+
+def sizes_moved(spec, moves):
+    classes = tuple(
+        DegreeClass(c.degree, c.size + moves.get(c.degree, 0), c.members) for c in spec.classes
+    )
+    return DegreeSpectrum(spec.n, spec.group, classes)
+
+
+class TestInvariants:
+    """The identities ``check_invariants`` holds every spectrum to."""
+
+    def test_symmetric_count_is_p(self, moments):
+        for n, m in moments.items():
+            assert m["s_count"] == m["p"], n
+
+    def test_symmetric_degree_sum_counts_involutions(self, moments):
+        for n, m in moments.items():
+            # an involution is a product of k disjoint transpositions
+            involutions = sum(
+                factorial(n) // (factorial(k) * 2**k * factorial(n - 2 * k))
+                for k in range(n // 2 + 1)
+            )
+            assert m["s_degree_sum"] == involutions, n
+
+    def test_alternating_count(self, moments):
+        for n, m in moments.items():
+            assert 2 * m["a_count"] == m["p"] + 3 * m["sc"], n
+
+    @pytest.mark.parametrize(
+        ("build", "n", "moves", "identity"),
+        [
+            (spectrum_sn, 12, {4455: -1, 3564: 1, 2673: 1}, "character count"),
+            (spectrum_sn, 12, {3564: 1, 297: 1, 2673: -1, 2376: -1}, "degree sum"),
+            (spectrum_an, 13, {4290: -1, 3432: 1, 2574: 1}, "twice the character count"),
+        ],
+    )
+    def test_fires_where_the_mass_does_not(self, build, n, moves, identity):
+        spec = build(n)
+        assert check_invariants(spec) is spec
+        moved = sizes_moved(spec, moves)
+        assert moved.mass() == moved.group_order()
+        with pytest.raises(ArithmeticError, match=f"^{identity} mismatch"):
+            check_invariants(moved)
+
+    def test_mass(self):
+        spec = sizes_moved(spectrum_sn(6), {16: 1})
+        with pytest.raises(ArithmeticError, match="^degree mass mismatch for S_6: 976 != 720"):
+            check_invariants(spec)
 
 
 class TestReport:
