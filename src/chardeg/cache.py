@@ -2,13 +2,15 @@
 their top two classes only and load faster than they build.
 
 One JSON file per (group, n), byte for byte what ``spectrum --format
-json`` prints.  Entries of another schema or layout, of the wrong shape,
-off an identity of ``check_invariants``, with a size below 1 or degrees
-out of order, or with other members than a fresh build are silently
-recomputed; the cache must never change a result.  Positive sizes edited
-below the top two classes still load if they keep the count and the mass,
-and for S_n Σ size·degree too; only a full pass could catch them.  Writes
-go through a temp file and an atomic rename.
+json`` prints.  Any failure to read or admit an entry, too deep a nesting
+included, is a miss, and the spectrum is silently recomputed: another
+schema or layout, the wrong shape, a ``b`` or ``epsilon`` that the classes
+do not give, an identity of ``check_invariants`` broken, a size below 1 or
+degrees out of order, or other members than a fresh build.  The cache must
+never change a result.  Positive sizes edited below the top two classes
+still load if they keep the count and the mass, and for S_n Σ size·degree
+too; only a full pass could catch them.  Writes go through a temp file and
+an atomic rename.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
         if not has_built_members(spec):
             return None  # a hit must print what a fresh build prints
         return spec
-    # AttributeError: a list, number or null where an object or string belongs
-    except (OSError, ValueError, ArithmeticError, KeyError, TypeError, AttributeError):
+    except Exception:  # any entry that cannot be read or admitted: a miss only costs a build
         return None
 
 

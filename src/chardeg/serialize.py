@@ -44,7 +44,7 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
             "members": [format_partition(p) for p in c.members],
         }
         if spec.group == "A":
-            entry["splits"] = list(splits("A", c)) if c.members else []
+            entry["splits"] = list(splits("A", c))
         classes.append(entry)
     return {
         "schema": SCHEMA_VERSION,
@@ -61,7 +61,8 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
     """Rebuild a spectrum from its document, re-validating positive sizes,
     strictly descending degrees, the splits and ``members_complete`` that its
-    members give (ValueError), and ``check_invariants`` (ArithmeticError)."""
+    members give, ``b`` and ``epsilon`` (ValueError), and
+    ``check_invariants`` (ArithmeticError)."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     group = doc["group"]
@@ -75,13 +76,16 @@ def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
         c = DegreeClass(int(entry["degree"]), int(entry["size"]), members)
         if c.size < 1 or (above is not None and c.degree >= above):
             raise ValueError(f"class sizes or degree order wrong in document for {group}_{n}")
-        if group == "A" and entry["splits"] != (list(splits("A", c)) if members else []):
+        if group == "A" and entry["splits"] != list(splits("A", c)):
             raise ValueError("member splits disagree with the members")
         above = c.degree
         classes.append(c)
     spec = check_invariants(DegreeSpectrum(n, group, tuple(classes)))
     if str(spec.b) != doc["b"]:
         raise ValueError("top degree disagrees with document")
+    eps = epsilon(spec)
+    if doc["epsilon"] != str(eps) or doc["epsilon_decimal"] != decimal_str(eps):
+        raise ValueError("epsilon disagrees with document")
     if doc["members_complete"] != spec.members_complete:
         raise ValueError("members_complete disagrees with the members")
     return spec

@@ -241,15 +241,11 @@ def _pair_shard(
 
 
 def _spectrum(n: int, group: str, classes: dict[int, list]) -> DegreeSpectrum:
-    """The spectrum of ``_Classes.classes``, members in descending order.
-
-    Members are sorted only where a class has more than one representative:
-    one conjugate pair already arrives as (λ, λ'), and λ > λ'.
-    """
+    """The spectrum of ``_Classes.classes``, members in descending order."""
     out = []
     for deg in sorted(classes, reverse=True):
         size, kept = classes[deg]
-        if kept and (len(kept) > 2 or (len(kept) == 2 and kept[0] < kept[1])):
+        if kept:
             kept.sort(reverse=True)
         out.append(DegreeClass(deg, size, tuple(kept or ())))
     return check_invariants(DegreeSpectrum(n, group, tuple(out)))
@@ -281,7 +277,7 @@ def _build(
             merged = {g: _Classes(all_members) for g in groups}
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 shards = pool.map(_pair_shard, [n] * n, range(n, 0, -1),
-                                  [groups] * n, [all_members] * n, chunksize=4)
+                                  [groups] * n, [all_members] * n)
                 for shard in shards:
                     for g in groups:
                         for deg, (chars, members) in shard[g].items():
@@ -326,9 +322,9 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     checks read, and no others.
 
     Every member must be a partition of n, listed strictly descending in
-    its class and in no other class, and must give back its class degree
-    from its hook product; in A_n it is also the larger partition of its
-    conjugate pair.
+    its class, and must give back its class degree from its hook product,
+    which keeps it out of the other class; in A_n it is also the larger
+    partition of its conjugate pair.
     """
     n, group = spec.n, spec.group
     if n <= MEMBER_CAP:
@@ -338,8 +334,7 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
         return False
     if any(a <= b for c in kept for a, b in zip(c.members, c.members[1:])):
         return False
-    members = [lam for c in kept for lam in c.members]
-    if len(set(members)) != len(members) or any(sum(lam) != n for lam in members):
+    if any(sum(lam) != n for c in kept for lam in c.members):
         return False
     fact = factorial(n)
     for c in kept:
@@ -642,13 +637,13 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
             top = max(degrees.values())
             notes.append(f"case=2 (top scanned degree {top}, b(A)={b_a})")
             records = _move_mass((lam,), top, top * top, "sub-top-move-mass")
-    fallback_holds = (verify_theorem2 if group == "S" else verify_theorem1)(n).passed
 
     held = [q for q in records if q.holds()]
     if held:
         status = PASS
         decisive = tuple(held)
     else:
+        fallback_holds = (verify_theorem2 if group == "S" else verify_theorem1)(n).passed
         status = INCONCLUSIVE if fallback_holds else FAIL
         decisive = tuple(records)
         if status == INCONCLUSIVE:

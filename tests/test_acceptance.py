@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every comparison is exact; there are no numeric tolerances anywhere.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -147,6 +148,7 @@ def test_criterion_10_epsilon_lower_bounds():
 def test_criterion_11_trend_from_scan_csv(tmp_path):
     out = tmp_path / "trend.csv"
     assert cli.main(["scan", "--n", "40", "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "48b2578dddd747ed218f58d3cf8aade2"
     rows = out.read_text().strip().splitlines()
     header = rows[0].split(",")
     eps_s_col = header.index("eps_s")

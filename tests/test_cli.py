@@ -170,6 +170,11 @@ def spectrum_is_a_list(path):
     path.write_text(json.dumps({"schema": 1, "spectrum": []}))
 
 
+def entry_is_nested(path):
+    """Nesting too deep for the JSON decoder, which raises RecursionError."""
+    path.write_text("[" * 200000 + "]" * 200000)
+
+
 def member_is_a_number(path):
     def edit(doc):
         doc["classes"][0]["members"][0] = 5
@@ -254,6 +259,15 @@ def negative_size_keeping_mass(doc):
     classes[-1]["size"] += moved * int(classes[2]["degree"]) ** 2
 
 
+def wrong_epsilon(doc):
+    doc["epsilon"] = "1/2"
+    doc["epsilon_decimal"] = "0.5"
+
+
+def wrong_epsilon_decimal(doc):
+    doc["epsilon_decimal"] += "1"  # a digit past the 12 significant ones a build writes
+
+
 def sizes_moved(moves):
     """Add ``moves[degree]`` to the size of the class of each degree."""
 
@@ -273,7 +287,7 @@ class TestCache:
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
 
     @pytest.mark.parametrize(
-        "corrupt", [entry_is_a_list, spectrum_is_a_list, member_is_a_number]
+        "corrupt", [entry_is_a_list, spectrum_is_a_list, member_is_a_number, entry_is_nested]
     )
     def test_wrong_shape_is_a_miss(self, capsys, tmp_path, corrupt):
         _, cold, _ = run(capsys, "spectrum", "--n", "6")
@@ -327,11 +341,12 @@ class TestCache:
         assert load_spectrum(tmp_path, "S", 12) is None
 
     # classes below the top two keep no members, so only the document's
-    # degree order and sizes give these edits away
+    # degree order and sizes, and the epsilon they fix, give these edits away
     @pytest.mark.parametrize("group", ["S", "A"])
     @pytest.mark.parametrize(
         "edit",
-        [swap_lower_classes, split_a_lower_class, add_empty_class, negative_size_keeping_mass],
+        [swap_lower_classes, split_a_lower_class, add_empty_class, negative_size_keeping_mass,
+         wrong_epsilon, wrong_epsilon_decimal],
     )
     def test_wrong_lower_classes_are_a_miss(self, capsys, tmp_path, group, edit):
         argv = ("spectrum", "--n", "12", "--group", group.lower())
@@ -544,6 +559,14 @@ class TestCacheAtTheMemberCap:
 
 
 class TestGraphCmd:
+    @pytest.mark.parametrize(
+        ("fmt", "digest"),
+        [("json", "4eff0028d25127bd29674c3599bb047f"), ("dot", "2bdd66c7e6585104b37ee7de47592ba9")],
+    )
+    def test_golden_bytes_n12(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "graph", "--n", "12", "--format", fmt)
+        assert code == 0 and md5(out) == digest
+
     def test_json_n4(self, capsys):
         code, out, _ = run(capsys, "graph", "--n", "4")
         doc = json.loads(out)

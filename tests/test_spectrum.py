@@ -492,6 +492,24 @@ class TestMoveScan:
         with pytest.raises(ValueError):
             move_scan_verify(8, "X")
 
+    @pytest.mark.parametrize("group", ["S", "A"])
+    def test_theorem_report_only_when_no_record_holds(self, monkeypatch, group):
+        calls = []
+
+        def counted(theorem):
+            def run_theorem(n, **kwargs):
+                calls.append((theorem.__name__, n))
+                return theorem(n, **kwargs)
+
+            return run_theorem
+
+        for name in ("verify_theorem1", "verify_theorem2"):
+            monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name)))
+        assert move_scan_verify(10, group).status == PASS
+        assert calls == []
+        assert move_scan_verify(7, group).status == INCONCLUSIVE
+        assert calls == [("verify_theorem2" if group == "S" else "verify_theorem1", 7)]
+
     def test_sweep_statuses(self):
         for n in range(7, 26):
             assert move_scan_verify(n, "S").status in (PASS, INCONCLUSIVE)
