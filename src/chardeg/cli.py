@@ -89,7 +89,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     n = sum(parts)
     h = hook_product(parts)
     deg = degree_sn(parts)
-    entry = degrees_an(parts)[0]
+    entry = degrees_an(parts)
     up, dn = lambda_up(parts), lambda_dn(parts)
     ratio = up_dn_ratio(parts)
     if args.fmt == "json":

@@ -78,8 +78,8 @@ def degree_sn(parts: Partition) -> int:
     return q
 
 
-def degrees_an(parts: Partition) -> list[AnDegreeEntry]:
-    """Alternating-group degree entries for one conjugacy representative.
+def degrees_an(parts: Partition) -> AnDegreeEntry:
+    """Alternating-group degree entry for one conjugacy representative.
 
     The caller passes one representative per conjugate pair, or the
     partition itself when self-conjugate.  Non-self-conjugate partitions
@@ -89,13 +89,13 @@ def degrees_an(parts: Partition) -> list[AnDegreeEntry]:
     """
     if is_self_conjugate(parts):
         if sum(parts) <= 1:
-            return [AnDegreeEntry(1, 1)]
+            return AnDegreeEntry(1, 1)
         d = degree_sn(parts)
         half, rem = divmod(d, 2)
         if rem:
             raise ArithmeticError(f"odd degree {d} for self-conjugate {parts}")
-        return [AnDegreeEntry(half, 2)]
-    return [AnDegreeEntry(degree_sn(parts), 1)]
+        return AnDegreeEntry(half, 2)
+    return AnDegreeEntry(degree_sn(parts), 1)
 
 
 @cache

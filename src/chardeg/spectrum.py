@@ -104,9 +104,6 @@ class DegreeSpectrum:
             return factorial(self.n)
         return factorial(self.n) // 2 if self.n >= 2 else 1
 
-    def mass(self) -> int:
-        return sum(c.size * c.degree * c.degree for c in self.classes)
-
     def sum_squares_below_top(self) -> int:
         return self.group_order() - self.m1_size * self.b * self.b
 
@@ -183,10 +180,10 @@ class _Classes:
 
 
 def _pair_shard(
-    n: int, first_part: int | None, groups: str, all_members: bool, table: dict | None = None
+    n: int, first_parts, groups: str, all_members: bool, table: dict | None = None
 ) -> dict[str, dict[int, list]]:
-    """Degrees over the partitions of n whose largest part is
-    ``first_part``, or over every partition of n when it is None.
+    """Degrees over the partitions of n whose largest part is in
+    ``first_parts``, walked in the order given.
 
     Visits one representative per conjugate pair: λ is skipped when it has
     more parts than its first part, because its conjugate, which has a
@@ -204,13 +201,11 @@ def _pair_shard(
     fact = factorial(n)
     sym = _Classes(all_members) if "S" in groups else None
     alt = _Classes(all_members) if "A" in groups else None
-    if first_part is None:
-        partitions = enumerate_partitions(n)
-    else:
-        partitions = (
-            (first_part,) + rest
-            for rest in enumerate_partitions(n - first_part, max_part=first_part)
-        )
+    partitions = (
+        (first,) + rest
+        for first in first_parts
+        for rest in enumerate_partitions(n - first, max_part=first)
+    )
     for lam in partitions:
         rows = len(lam)
         if rows > lam[0]:
@@ -263,10 +258,12 @@ def _build(
 ) -> dict[str, DegreeSpectrum]:
     """The spectra of n for each group in ``groups``, from a process pool
     sharded by largest part above MEMBER_CAP with two or more workers, else
-    from one sequential pass that also fills ``table`` when given.  The
-    pass allocates no reference cycles, so the cyclic garbage collector is
-    paused while it runs."""
-    all_members = n <= MEMBER_CAP
+    from one sequential pass that also fills ``table`` when given.  Classes
+    keep every member up to MEMBER_CAP, but only those of the top two
+    classes when ``table`` is given: a pass that fills the table already
+    records every partition's degree.  The pass allocates no reference
+    cycles, so the cyclic garbage collector is paused while it runs."""
+    all_members = table is None and n <= MEMBER_CAP
     workers = pool_size(threads, n, os.cpu_count())
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -276,7 +273,7 @@ def _build(
             # global top two; shards are merged, and dropped, as they arrive
             merged = {g: _Classes(all_members) for g in groups}
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                shards = pool.map(_pair_shard, [n] * n, range(n, 0, -1),
+                shards = pool.map(_pair_shard, [n] * n, [(f,) for f in range(n, 0, -1)],
                                   [groups] * n, [all_members] * n)
                 for shard in shards:
                     for g in groups:
@@ -284,7 +281,7 @@ def _build(
                             merged[g].add(deg, chars, members or ())
             classes = {g: c.classes for g, c in merged.items()}
         else:
-            classes = _pair_shard(n, None, groups, all_members, table)
+            classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table)
         return {g: _spectrum(n, g, classes[g]) for g in groups}
     finally:
         if gc_was_enabled:
@@ -364,7 +361,8 @@ def _current(n: int) -> tuple[int, dict[Partition, int], dict[str, DegreeSpectru
 
 
 def degree_table(n: int) -> dict[Partition, int]:
-    """Partition -> exact symmetric-group degree, for every partition of n.
+    """Partition -> exact symmetric-group degree, for every partition of n:
+    the store's only per-partition record.
 
     Only the most recent n is held, together with its S_n and A_n spectra;
     asking for another n rebuilds.
@@ -373,7 +371,8 @@ def degree_table(n: int) -> dict[Partition, int]:
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
-    """Sequentially computed spectrum, from the same store as ``degree_table``."""
+    """Sequentially computed spectrum, from the same store as ``degree_table``;
+    at every n only its top two classes keep their members."""
     _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
     return _current(n)[2][group]
 

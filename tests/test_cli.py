@@ -377,7 +377,8 @@ class TestCache:
         edit_entry(path, sizes_moved(moves))
         classes = json.loads(path.read_text())["classes"]
         assert all(c["size"] >= 1 for c in classes)
-        assert sum(c["size"] * int(c["degree"]) ** 2 for c in classes) == spec.mass()
+        assert sum(c["size"] * int(c["degree"]) ** 2 for c in classes) == \
+            sum(c.size * c.degree ** 2 for c in spec.classes)
         assert load_spectrum(tmp_path, group, n) is None
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
@@ -677,7 +678,7 @@ class TestVerifyCmd:
         assert len(calls) == len(set(calls)) == len(representatives)
         assert set(calls) == representatives
 
-    def test_store_holds_only_the_last_n(self, capsys):
+    def test_store_holds_only_the_last_n(self, capsys, monkeypatch):
         from chardeg import spectrum
 
         spectrum.clear_spectrum_cache()
@@ -688,8 +689,12 @@ class TestVerifyCmd:
         assert {sum(lam) for lam in table} == {8}
         assert sorted(spectra) == ["A", "S"]
         assert {spec.n for spec in spectra.values()} == {8}
-        # an earlier n is rebuilt on demand, and then replaces n = 8
-        assert spectrum.cached_spectrum("S", 5) == spectrum_sn(5)
+        # an earlier n is rebuilt on demand, with the top-two members that a
+        # build above the member cap keeps, and then replaces n = 8
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "MEMBER_CAP", 4)
+            capped = spectrum_sn(5)
+        assert spectrum.cached_spectrum("S", 5) == capped
         assert spectrum._store[0] == 5
 
     def test_ratio_lemma_never_builds_the_graph(self, capsys, monkeypatch):
@@ -770,14 +775,29 @@ class TestVerifyCmd:
         assert code == 0 and out.startswith("PASS")
 
     @pytest.mark.parametrize(
-        "fmt,expected",
-        [("json", "44516d161a26efea7c5b32340878189b"), ("text", "8a3cdb26df5348e3bc2d7830cf0ce694")],
+        "argv,expected",
+        [
+            pytest.param(("--range", "5..20", "--checks", "all", "--format", "json"),
+                         "44516d161a26efea7c5b32340878189b",
+                         id="json-44516d161a26efea7c5b32340878189b"),
+            pytest.param(("--range", "5..20", "--checks", "all", "--format", "text"),
+                         "8a3cdb26df5348e3bc2d7830cf0ce694",
+                         id="text-8a3cdb26df5348e3bc2d7830cf0ce694"),
+            pytest.param(("--range", "5..40", "--checks", "all", "--format", "json"),
+                         "bcc05f3ea568c3ee39ffc9d89a420b18", id="paper-range-json"),
+            pytest.param(("--range", "2..12", "--checks", "theorem1,theorem2",
+                          "--override-domain"),
+                         "8e38a2c932f6f81e2ebfbdf70344d6c4", id="override-domain-text"),
+            pytest.param(("--range", "41..49", "--checks", "theorem2,induced-bound"),
+                         "e44d190607beda893e853a9e73fe56cd", id="range41-49-text",
+                         marks=pytest.mark.stretch),
+        ],
     )
-    def test_golden_bytes(self, capsys, fmt, expected):
-        # pins every report's bytes over n = 5..20, so a refactor that
+    def test_golden_bytes(self, capsys, argv, expected):
+        # pins every report's bytes over the paper's range n = 5..40, below
+        # the stated domains and past the member cap, so a refactor that
         # changes one fails here
-        code, out, _ = run(capsys, "verify", "--range", "5..20", "--checks", "all",
-                           "--format", fmt)
+        code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert md5(out) == expected
 

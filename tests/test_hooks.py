@@ -121,14 +121,14 @@ class TestDegrees:
 
 class TestDegreesAn:
     def test_examples(self):
-        assert degrees_an((4, 1)) == [AnDegreeEntry(4, 1)]
-        assert degrees_an((3, 1, 1)) == [AnDegreeEntry(3, 2)]
-        assert degrees_an((1,)) == [AnDegreeEntry(1, 1)]
+        assert degrees_an((4, 1)) == AnDegreeEntry(4, 1)
+        assert degrees_an((3, 1, 1)) == AnDegreeEntry(3, 2)
+        assert degrees_an((1,)) == AnDegreeEntry(1, 1)
 
     def test_split_rule(self):
         for n in range(2, 16):
             for lam in enumerate_partitions(n):
-                entry = degrees_an(lam)[0]
+                entry = degrees_an(lam)
                 if is_self_conjugate(lam):
                     assert entry.count == 2
                     assert entry.degree * 2 == degree_sn(lam)
@@ -141,7 +141,7 @@ class TestDegreesAn:
             total = 0
             for lam in enumerate_partitions(n):
                 if lam >= conjugate(lam):
-                    entry = degrees_an(lam)[0]
+                    entry = degrees_an(lam)
                     total += entry.count * entry.degree**2
             assert total == factorial(n) // 2
 

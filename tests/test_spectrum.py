@@ -1,6 +1,7 @@
 """Spectra, the dominance theorems, branching, scans, and the excess bounds."""
 
 import gc
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -58,7 +59,7 @@ class TestSpectrumSn:
     def test_mass_small_range(self):
         for n in range(1, 26):
             spec = spectrum_sn(n)
-            assert spec.mass() == factorial(n)
+            assert sum(c.size * c.degree ** 2 for c in spec.classes) == factorial(n)
             assert spec.classes[-1].degree == 1
             degrees = [c.degree for c in spec.classes]
             assert degrees == sorted(degrees, reverse=True)
@@ -136,14 +137,17 @@ class TestDegreeTable:
             for lam, d in table.items():
                 assert d == degree_sn(lam) == count_standard_tableaux(lam), lam
 
-    def test_feeds_both_cached_spectra(self):
+    def test_feeds_both_cached_spectra(self, monkeypatch):
+        # the store's spectra keep only their top two classes' members, as a
+        # build above the member cap does; the table holds every partition
         for n in (2, 9, 16):
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "MEMBER_CAP", n - 1)
+                capped = {"S": spectrum_sn(n), "A": spectrum_an(n)}
             table = degree_table(n)
             for group in ("S", "A"):
-                build = spectrum_sn if group == "S" else spectrum_an
-                assert cached_spectrum(group, n) == build(n)
-            s_members = {lam for c in cached_spectrum("S", n).classes for lam in c.members}
-            assert s_members == set(table)
+                assert cached_spectrum(group, n) == capped[group]
+            assert Counter(table.values()) == {c.degree: c.size for c in capped["S"].classes}
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_leaves_gc_state_as_found(self, enabled):
@@ -190,8 +194,8 @@ def assert_members_descending(spec):
 
 
 class TestMembersDescending:
-    """Members are sorted only where a class has more than one
-    representative; every class must still list them strictly descending."""
+    """Every class lists its members strictly descending, whatever order
+    the pass met them in."""
 
     @pytest.mark.parametrize("cap", [MEMBER_CAP, 5])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -210,7 +214,7 @@ class TestMembersDescending:
     def test_any_arrival_order(self):
         # members arriving in reverse, a pair as (λ', λ), are still sorted
         for n in range(2, 23):
-            classes = spectrum._pair_shard(n, None, "SA", True)
+            classes = spectrum._pair_shard(n, range(n, 0, -1), "SA", True)
             for group, build in (("S", spectrum_sn), ("A", spectrum_an)):
                 for _size, kept in classes[group].values():
                     kept.reverse()
@@ -252,7 +256,7 @@ class TestSpectrumAn:
     def test_mass_small_range(self):
         for n in range(2, 26):
             spec = spectrum_an(n)
-            assert spec.mass() == factorial(n) // 2
+            assert sum(c.size * c.degree ** 2 for c in spec.classes) == factorial(n) // 2
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -320,7 +324,7 @@ class TestInvariants:
         spec = build(n)
         assert check_invariants(spec) is spec
         moved = sizes_moved(spec, moves)
-        assert moved.mass() == moved.group_order()
+        assert sum(c.size * c.degree ** 2 for c in moved.classes) == moved.group_order()
         with pytest.raises(ArithmeticError, match=f"^{identity} mismatch"):
             check_invariants(moved)
 

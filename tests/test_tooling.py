@@ -1,6 +1,7 @@
 """The benchmark still runs against the library: its tracer finds every
 name it wraps, and its checker accepts what the CLI prints."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -29,6 +30,35 @@ def test_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_cache_traffic(tmp_path):
+    # a cold then a warm traced spectrum above the member cap, the only
+    # spectra the cache keeps, run the tracer's load and store wrappers
+    cache_dir = tmp_path / "cache"
+    env = {k: v for k, v in os.environ.items() if k != "CHARDEG_CACHE_DIR"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    counts = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        proc = subprocess.run(
+            [sys.executable, "perfbench/tracer.py", str(out), "--", "spectrum", "--n", "41",
+             "--cache-dir", str(cache_dir), "--format", "json"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.md5(proc.stdout.encode()).hexdigest() == "36e4461473a5b268ce5dd918dfad88b2"
+        counts.append(json.loads(out.read_text())["counts"])
+    size = (cache_dir / "s041.json").stat().st_size
+    cold, warm = counts
+    assert cold["cache.misses"] == 1 and cold["cache.hits"] == 0
+    assert cold["cache.bytes_written"] == size
+    assert warm["cache.hits"] == 1 and warm["cache.misses"] == 0
+    assert warm["cache.bytes_read"] == size and warm["cache.bytes_written"] == 0
 
 
 @pytest.mark.parametrize("workload", ["paper-sweep", "spectrum-50"])
