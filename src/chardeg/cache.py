@@ -2,15 +2,18 @@
 their top two classes only and load faster than they build.
 
 One JSON file per (group, n), byte for byte what ``spectrum --format
-json`` prints.  Any failure to read or admit an entry, too deep a nesting
-included, is a miss, and the spectrum is silently recomputed: another
-schema or layout, the wrong shape, a ``b`` or ``epsilon`` that the classes
-do not give, an identity of ``check_invariants`` broken, a size below 1 or
-degrees out of order, or other members than a fresh build.  The cache must
-never change a result.  Positive sizes edited below the top two classes
-still load if they keep the count and the mass, and for S_n Σ size·degree
-too; only a full pass could catch them.  Writes go through a temp file and
-an atomic rename.
+json`` prints: ``serialize.spectrum_json`` renders both the entry and
+stdout.  A hit is parsed and validated in full, and what it prints is
+rendered from the validated spectrum, never copied from the file.  Any
+failure to read or admit an entry, too deep a nesting included, is a miss,
+and the spectrum is silently recomputed: another schema or layout, the
+wrong shape, a ``b`` or ``epsilon`` that the classes do not give, an
+identity of ``check_invariants`` broken, a size below 1 or degrees out of
+order, or other members than a fresh build.  The cache must never change a
+result.  Positive sizes edited below the top two classes still load if
+they keep the count and the mass, and for S_n Σ size·degree too; only a
+full pass could catch them.  Writes go through a temp file and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import os
 from pathlib import Path
 
-from .serialize import json_text, spectrum_from_doc, spectrum_to_doc
+from .serialize import spectrum_from_doc, spectrum_json
 from .spectrum import DegreeSpectrum, has_built_members
 
 
@@ -52,7 +55,7 @@ def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json_text(spectrum_to_doc(spec)))
+            fh.write(spectrum_json(spec))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

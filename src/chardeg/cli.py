@@ -32,8 +32,8 @@ from .serialize import (
     graph_to_dot,
     json_text,
     report_to_doc,
+    spectrum_json,
     spectrum_to_csv,
-    spectrum_to_doc,
     spectrum_to_text,
 )
 from .spectrum import (
@@ -174,7 +174,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             except OSError as exc:
                 print(f"warning: spectrum not cached: {exc}", file=sys.stderr)
     if args.fmt == "json":
-        print(json_text(spectrum_to_doc(spec)), end="")
+        print(spectrum_json(spec), end="")
     elif args.fmt == "csv":
         print(spectrum_to_csv(spec), end="")
     else:

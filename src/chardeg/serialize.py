@@ -58,6 +58,44 @@ def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
     }
 
 
+_CLASS_JSON = '    {\n      "degree": "%d",\n      "size": %d,\n      "members": %s%s\n    }'
+_SPECTRUM_JSON = (
+    '{\n  "schema": %d,\n  "group": "%s",\n  "n": %d,\n  "b": "%d",\n  "epsilon": "%s",\n'
+    '  "epsilon_decimal": "%s",\n  "members_complete": %s,\n  "classes": [\n%s\n  ]\n}\n'
+)
+
+
+def _json_list(items: list[str]) -> str:
+    """A non-empty list of rendered values at a class's depth, as indent=2
+    lays it out."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def spectrum_json(spec: DegreeSpectrum) -> str:
+    """``json_text(spectrum_to_doc(spec))``, byte for byte, written directly.
+
+    The document's shape is fixed and none of its strings (decimal
+    integers, fractions, partitions) needs escaping, so string formatting
+    gives the ``indent=2`` layout without the pure-Python JSON encoder.
+    ``spectrum_to_doc`` stays the reference that the tests compare with.
+    """
+    eps = epsilon(spec)
+    alternating = spec.group == "A"
+    bare = ("[]", ',\n      "splits": []' if alternating else "")
+    classes = []
+    for c in spec.classes:
+        members, tail = bare
+        if c.members:
+            members = _json_list(['"%s"' % format_partition(p) for p in c.members])
+            if alternating:
+                tail = ',\n      "splits": ' + _json_list([str(s) for s in splits("A", c)])
+        classes.append(_CLASS_JSON % (c.degree, c.size, members, tail))
+    return _SPECTRUM_JSON % (
+        SCHEMA_VERSION, spec.group, spec.n, spec.b, eps, decimal_str(eps),
+        "true" if spec.members_complete else "false", ",\n".join(classes),
+    )
+
+
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
     """Rebuild a spectrum from its document, re-validating positive sizes,
     strictly descending degrees, the splits and ``members_complete`` that its
@@ -76,7 +114,7 @@ def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
         c = DegreeClass(int(entry["degree"]), int(entry["size"]), members)
         if c.size < 1 or (above is not None and c.degree >= above):
             raise ValueError(f"class sizes or degree order wrong in document for {group}_{n}")
-        if group == "A" and entry["splits"] != list(splits("A", c)):
+        if group == "A" and entry["splits"] != (list(splits("A", c)) if members else []):
             raise ValueError("member splits disagree with the members")
         above = c.degree
         classes.append(c)

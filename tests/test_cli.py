@@ -9,7 +9,7 @@ import pytest
 from chardeg import cli, conjugate, enumerate_partitions, spectrum
 from chardeg.cache import cache_path, load_spectrum, store_spectrum
 from chardeg.partitions import parse_partition
-from chardeg.serialize import json_text, spectrum_to_doc
+from chardeg.serialize import json_text, spectrum_json, spectrum_to_doc
 from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
 
 
@@ -146,6 +146,33 @@ class TestSpectrumCmd:
         _, out2, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "2")
         _, out3, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "3")
         assert out1 == out2 == out3
+
+
+class TestSpectrumJson:
+    """``spectrum_json`` writes the bytes of its reference,
+    ``json_text(spectrum_to_doc(spec))``."""
+
+    @pytest.mark.parametrize(
+        ("group", "build", "lowest"), [("S", spectrum_sn, 1), ("A", spectrum_an, 2)]
+    )
+    def test_equals_the_reference_with_every_member(self, group, build, lowest):
+        split_counts = set()
+        for n in range(lowest, 31):
+            spec = build(n)
+            doc = spectrum_to_doc(spec)
+            assert doc["members_complete"]
+            assert spectrum_json(spec) == json_text(doc), f"{group}_{n}"
+            split_counts.update(s for c in doc["classes"] for s in c.get("splits", ()))
+        assert split_counts == ({1, 2} if group == "A" else set())
+
+    @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
+    def test_equals_the_reference_when_capped(self, monkeypatch, build):
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        capped = build(12)
+        monkeypatch.undo()
+        for spec in (capped, build(41)):
+            assert not spec.members_complete
+            assert md5(spectrum_json(spec)) == md5(json_text(spectrum_to_doc(spec)))
 
 
 def edit_entry(path, edit):
@@ -548,6 +575,16 @@ class TestCacheAtTheMemberCap:
         assert load_spectrum(tmp_path, group.upper(), 41) is not None
         code, warm, _ = run(capsys, *argv, "--threads", "1", "--cache-dir", str(tmp_path))
         assert code == 0 and md5(warm) == md5(plain)
+
+    def test_hit_prints_the_validated_spectrum_not_the_file(self, capsys, tmp_path, monkeypatch):
+        path = store_spectrum(tmp_path, spectrum_sn(41))
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+        assert load_spectrum(tmp_path, "S", 41) is not None
+        monkeypatch.setattr(cli, "spectrum_sn", None)  # a miss would have to build
+        argv = ("spectrum", "--n", "41", "--format", "json", "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and md5(out) == "36e4461473a5b268ce5dd918dfad88b2"
+        assert md5(path.read_text()) != md5(out)  # a hit leaves the entry as it is
 
 
     def test_swapped_lower_classes_are_a_miss(self, capsys, tmp_path):
