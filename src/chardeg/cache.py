@@ -12,8 +12,8 @@ identity of ``check_invariants`` broken, a size below 1 or degrees out of
 order, or other members than a fresh build.  The cache must never change a
 result.  Positive sizes edited below the top two classes still load if
 they keep the count and the mass, and for S_n Σ size·degree too; only a
-full pass could catch them.  Writes go through a temp file and an atomic
-rename.
+full pass could catch them.  Writes go through ``write_atomic``, a temp
+file and an atomic rename, which ``scan`` uses for its CSV as well.
 """
 
 from __future__ import annotations
@@ -45,19 +45,24 @@ def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum |
         return None
 
 
-def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
-    """Write ``spec``'s entry; raise ValueError for one load_spectrum rejects."""
-    if not has_built_members(spec):
-        raise ValueError(f"{spec.group}_{spec.n} is not a spectrum the cache keeps")
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = cache_path(directory, spec.group, spec.n)
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and an atomic
+    rename, creating the parent directory; a failed write leaves no temp
+    file, and any earlier file at ``path`` as it was."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(spectrum_json(spec))
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
+    """Write ``spec``'s entry; raise ValueError for one load_spectrum rejects."""
+    if not has_built_members(spec):
+        raise ValueError(f"{spec.group}_{spec.n} is not a spectrum the cache keeps")
+    path = cache_path(cache_dir, spec.group, spec.n)
+    write_atomic(path, spectrum_json(spec))
     return path

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import spectrum
-from .cache import load_spectrum, store_spectrum
+from .cache import load_spectrum, store_spectrum, write_atomic
 from .exact import decimal_str
 from .graph import (
     build_graph,
@@ -18,7 +18,6 @@ from .graph import (
 )
 from .hooks import degree_sn, degrees_an, hook_product, up_dn_ratio
 from .partitions import (
-    PartitionFormatError,
     format_partition,
     is_self_conjugate,
     lambda_dn,
@@ -272,37 +271,30 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _guard(args.n, args.max_n)
     out = Path(args.out)
     rows = ["n,b_s,m1,b_a,ba_equals_bs,eps_s,eps_s_decimal,eps_a,eps_a_decimal,x,y"]
-    tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-    try:
-        for n in range(5, args.n + 1):
-            s_spec = cached_spectrum("S", n)
-            a_spec = cached_spectrum("A", n)
-            eps_s = epsilon(s_spec)
-            eps_a = epsilon(a_spec)
-            x, y = spectrum_xy(n)
-            rows.append(
-                ",".join(
-                    [
-                        str(n),
-                        str(s_spec.b),
-                        str(s_spec.m1_size),
-                        str(a_spec.b),
-                        "true" if a_spec.b == s_spec.b else "false",
-                        str(eps_s),
-                        decimal_str(eps_s),
-                        str(eps_a),
-                        decimal_str(eps_a),
-                        str(x),
-                        str(y),
-                    ]
-                )
+    for n in range(5, args.n + 1):
+        s_spec = cached_spectrum("S", n)
+        a_spec = cached_spectrum("A", n)
+        eps_s = epsilon(s_spec)
+        eps_a = epsilon(a_spec)
+        x, y = spectrum_xy(n)
+        rows.append(
+            ",".join(
+                [
+                    str(n),
+                    str(s_spec.b),
+                    str(s_spec.m1_size),
+                    str(a_spec.b),
+                    "true" if a_spec.b == s_spec.b else "false",
+                    str(eps_s),
+                    decimal_str(eps_s),
+                    str(eps_a),
+                    decimal_str(eps_a),
+                    str(x),
+                    str(y),
+                ]
             )
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        )
+    write_atomic(out, "\n".join(rows) + "\n")
     print(f"wrote {out} ({args.n - 4} rows)")
     return 0
 
@@ -369,7 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, PartitionFormatError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

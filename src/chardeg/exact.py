@@ -32,8 +32,11 @@ def decimal_str(value: int | Fraction) -> str:
     return str(d)
 
 
-def clamped_square_over(numerator: Fraction, denominator: int) -> Fraction:
-    """max(numerator, 0)^2 / denominator, exactly."""
-    if numerator < 0:
+def induction_bound(n: int, k: int) -> Fraction:
+    """max(n - sqrt(2n) - k, 0)^2 / 2n, exactly, with sqrt(2n) replaced by
+    ``sqrt_upper(2n)`` so the bound is weakened, never strengthened: the
+    paper's induction bound on the squared-degree excess at offset k."""
+    base = n - sqrt_upper(2 * n) - k
+    if base < 0:
         return Fraction(0)
-    return numerator * numerator / denominator
+    return base * base / (2 * n)

@@ -134,7 +134,10 @@ def ratio_lemma_check(n: int) -> VerificationReport:
 def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
     """(degrees, sizes, prefix) of the S_n classes, indexed 0-based in
     decreasing degree order; prefix[r] counts the characters of strictly
-    larger degree than class r."""
+    larger degree than class r.  The counting bounds are stated for n >= 5,
+    so a smaller n raises ValueError."""
+    if n < 5:
+        raise ValueError("counting checks need n >= 5")
     spec = cached_spectrum("S", n)
     degrees = [c.degree for c in spec.classes]
     sizes = [c.size for c in spec.classes]
@@ -207,63 +210,51 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
     )
 
 
+def _tightest(slack: list[int]) -> tuple[int, list[str]]:
+    """The 1-based class where a counting bound is tightest, given its slack
+    per class (negative where the bound fails), and the report's notes: the
+    class count and the first ten classes that violate it."""
+    violating = [f"violating r={r}" for r, gap in enumerate(slack, 1) if gap < 0]
+    return slack.index(min(slack)) + 1, [f"classes={len(slack)}", *violating[:10]]
+
+
 def low_degree_count_check_all(n: int) -> VerificationReport:
     """The low-degree counting bound over every class at once; the recorded
-    inequality is the tightest class."""
+    inequality is the tightest class, so it holds exactly when every class
+    does."""
     degrees, sizes, prefix = _class_sizes(n)
     low_counts, low_members = _low_degree(n, degrees)
-    m = len(degrees)
-    failures = [r for r in range(1, m + 1) if low_counts[r - 1] > 2 * prefix[r - 1]]
-    tightest = min(
-        range(1, m + 1), key=lambda r: 2 * prefix[r - 1] - low_counts[r - 1]
-    )
+    r, notes = _tightest([2 * p - low for p, low in zip(prefix, low_counts)])
     ineqs = [
-        Inequality(
-            f"low-degree-members[r={tightest}]",
-            low_counts[tightest - 1],
-            "<=",
-            2 * prefix[tightest - 1],
-        ),
+        Inequality(f"low-degree-members[r={r}]", low_counts[r - 1], "<=", 2 * prefix[r - 1]),
         Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0),
     ]
-    if sizes[0] == 1 and m >= 2:
+    if sizes[0] == 1 and len(degrees) >= 2:
         ineqs.append(Inequality("second-class-low-degree", low_counts[1], "<=", 2))
-    status = PASS if not failures and all(q.holds() for q in ineqs) else FAIL
-    notes = [f"classes={m}"] + [f"violating r={r}" for r in failures[:10]]
     return VerificationReport(
         check="low-degree-count",
         n=n,
-        status=status,
+        status=PASS if all(q.holds() for q in ineqs) else FAIL,
         inequalities=tuple(ineqs),
-        witnesses=tuple(nlargest(3, low_members.get(tightest - 1, ()))),
+        witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
         notes=tuple(notes),
     )
 
 
 def near_max_count_check_all(n: int) -> VerificationReport:
-    """The near-top counting bound over every class at once."""
+    """The near-top counting bound over every class at once; the recorded
+    inequality is the tightest class, so it holds exactly when every class
+    does."""
     degrees, sizes, prefix = _class_sizes(n)
     in_range = _in_range(degrees, prefix)
-    m = len(degrees)
-    failures = [
-        r for r in range(1, m + 1) if in_range[r - 1] < sizes[r - 1] - 4 * prefix[r - 1]
-    ]
-    tightest = min(
-        range(1, m + 1),
-        key=lambda r: in_range[r - 1] - (sizes[r - 1] - 4 * prefix[r - 1]),
-    )
+    r, notes = _tightest([k - (size - 4 * p) for k, size, p in zip(in_range, sizes, prefix)])
     ineq = Inequality(
-        f"near-top-characters[r={tightest}]",
-        in_range[tightest - 1],
-        ">=",
-        sizes[tightest - 1] - 4 * prefix[tightest - 1],
+        f"near-top-characters[r={r}]", in_range[r - 1], ">=", sizes[r - 1] - 4 * prefix[r - 1]
     )
-    status = PASS if not failures and ineq.holds() else FAIL
-    notes = [f"classes={m}"] + [f"violating r={r}" for r in failures[:10]]
     return VerificationReport(
         check="near-max-count",
         n=n,
-        status=status,
+        status=PASS if ineq.holds() else FAIL,
         inequalities=(ineq,),
         notes=tuple(notes),
     )

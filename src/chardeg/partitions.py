@@ -141,7 +141,9 @@ def conjugate(parts: Partition) -> Partition:
 
 
 def is_self_conjugate(parts: Partition) -> bool:
-    return conjugate(parts) == parts
+    """True when ``parts`` equals its conjugate; a first part other than the
+    number of parts rules that out without conjugating."""
+    return not parts or (parts[0] == len(parts) and conjugate(parts) == parts)
 
 
 def addable_nodes(parts: Partition) -> frozenset[Node]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import clamped_square_over, decimal_str, sqrt_upper
+from .exact import decimal_str, induction_bound
 from .hooks import hook_product
 from .partitions import (
     Partition,
@@ -26,6 +26,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     format_partition,
+    is_self_conjugate,
     iter_moves,
     lambda_dn,
     lambda_up,
@@ -68,7 +69,7 @@ def splits(group: str, c: DegreeClass) -> tuple[int, ...]:
     self-conjugate A_n representative, whose character splits."""
     if group == "S" or not c.members:
         return (1,) * len(c.members)
-    return tuple(2 if lam[0] == len(lam) and lam == conjugate(lam) else 1 for lam in c.members)
+    return tuple(2 if is_self_conjugate(lam) else 1 for lam in c.members)
 
 
 def complete(group: str, c: DegreeClass) -> bool:
@@ -438,7 +439,10 @@ def verify_theorem1(n: int, *, override_domain: bool = False) -> VerificationRep
 
 
 def sandwich_check(n: int) -> VerificationReport:
-    """b(S_n)/2 < b(A_n) <= b(S_n); whether equality holds is informational."""
+    """b(S_n)/2 < b(A_n) <= b(S_n) (stated n >= 5); whether equality holds
+    is informational."""
+    if n < 5:
+        raise ValueError("sandwich check needs n >= 5")
     b_s = cached_spectrum("S", n).b
     b_a = cached_spectrum("A", n).b
     ineqs = (
@@ -511,11 +515,10 @@ def induced_bound_check(n: int) -> VerificationReport:
         raise ValueError("induced bound check needs n >= 5")
     s_spec = cached_spectrum("S", n)
     b_s = s_spec.b
-    root2n = sqrt_upper(2 * n)
     notes = []
     witnesses = list(s_spec.maximizers)
     s_records = _move_mass(s_spec.maximizers, b_s, 2 * b_s * b_s, "induced-mass[{}]")
-    analytic_s = clamped_square_over(n - root2n - 30, 2 * n) * b_s * b_s
+    analytic_s = induction_bound(n, 30) * b_s * b_s
     notes.append(f"symmetric-analytic-context={decimal_str(analytic_s)}")
     hyp_s = n >= 50 and s_spec.m1_size <= 31
     notes.append(f"symmetric-hypotheses={'active' if hyp_s else 'inactive'}")
@@ -533,7 +536,7 @@ def induced_bound_check(n: int) -> VerificationReport:
         m2 = s_spec.classes[1]
         a_records = _move_mass(m2.members, b_a, 2 * b_a * b_a, "induced-mass[{}]")
         witnesses.extend(m2.members)
-        analytic_a = clamped_square_over(n - root2n - 20, 2 * n) * b_a * b_a
+        analytic_a = induction_bound(n, 20) * b_a * b_a
         notes.append(f"alternating-analytic-context={decimal_str(analytic_a)}")
         hyp_a = n >= 43 and m2.size <= 19
         notes.append(f"alternating-hypotheses={'active' if hyp_a else 'inactive'}")
@@ -675,15 +678,9 @@ def epsilon_lower_bounds(n: int) -> VerificationReport:
     eps_s = epsilon(s_spec)
     eps_a = epsilon(a_spec)
     m1 = s_spec.m1_size
-    root2n = sqrt_upper(2 * n)
     ineqs = [
         Inequality("s-multiplicity-bound", eps_s, ">=", Fraction(m1, 16)),
-        Inequality(
-            "s-induction-bound",
-            eps_s,
-            ">=",
-            clamped_square_over(n - root2n - (m1 - 1), 2 * n),
-        ),
+        Inequality("s-induction-bound", eps_s, ">=", induction_bound(n, m1 - 1)),
     ]
     notes = [f"epsilon_s={eps_s}", f"epsilon_a={eps_a}"]
     if a_spec.b == s_spec.b:
@@ -699,12 +696,7 @@ def epsilon_lower_bounds(n: int) -> VerificationReport:
                 Inequality(
                     "a-near-top-bound", eps_a, ">=", max(Fraction(y - 4 * x, 32), Fraction(0))
                 ),
-                Inequality(
-                    "a-induction-bound",
-                    eps_a,
-                    ">=",
-                    clamped_square_over(n - root2n - 2 * x - (y - 1), 2 * n),
-                ),
+                Inequality("a-induction-bound", eps_a, ">=", induction_bound(n, 2 * x + y - 1)),
             ]
         )
     status = PASS if all(q.holds() for q in ineqs) else FAIL

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chardeg import cli, conjugate, enumerate_partitions, spectrum
-from chardeg.cache import cache_path, load_spectrum, store_spectrum
+from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
 from chardeg.partitions import parse_partition
 from chardeg.serialize import json_text, spectrum_json, spectrum_to_doc
 from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
@@ -115,6 +115,12 @@ class TestSpectrumCmd:
         code, out, _ = run(capsys, "spectrum", "--n", "1")
         assert code == 0
         assert "b: 1" in out
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, err = run(capsys, "spectrum", "--n", "5", "--threads", threads)
+        assert code == 2 and not out
+        assert err == "error: --threads must be at least 1\n"
 
     def test_resource_guard(self, capsys):
         code, _, err = run(capsys, "spectrum", "--n", "25", "--max-n", "20")
@@ -515,6 +521,19 @@ class TestCache:
         assert code == 0 and out and err.startswith("warning:")
         assert [p.name for p in tmp_path.iterdir()] == ["s008.json"]
 
+    def test_write_atomic(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_atomic(path, "one\n")
+        write_atomic(path, "two\n")
+        assert path.read_text() == "two\n" and list(path.parent.iterdir()) == [path]
+        blocked = tmp_path / "dir"  # a directory where the file goes
+        blocked.mkdir()
+        (blocked / "keep").write_text("")
+        with pytest.raises(OSError):
+            write_atomic(blocked, "three\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "dir"]
+        assert [p.name for p in blocked.iterdir()] == ["keep"]
+
     def test_entry_holds_only_result(self, tmp_path):
         spec = spectrum_sn(9)
         path = store_spectrum(tmp_path, spec)
@@ -788,8 +807,10 @@ class TestVerifyCmd:
         assert out.startswith("FAIL")
 
     def test_bad_range(self, capsys):
-        code, _, err = run(capsys, "verify", "--range", "9..3", "--checks", "sandwich")
-        assert code == 2
+        for text in ("9..3", "5-9", "a..9"):
+            code, out, err = run(capsys, "verify", "--range", text, "--checks", "sandwich")
+            assert code == 2 and not out
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), text
 
     def test_missing_n_and_range(self, capsys):
         code, _, err = run(capsys, "verify", "--checks", "sandwich")
@@ -927,6 +948,12 @@ class TestScanCmd:
             capsys, "scan", "--n", "70", "--out", str(tmp_path / "x.csv")
         )
         assert code == 2
+
+    def test_below_five_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "scan", "--n", "4", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", ["61", "10"])
     def test_max_n_above_the_store_ceiling_rejected(self, capsys, tmp_path, n):

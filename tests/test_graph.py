@@ -17,8 +17,9 @@ from chardeg import (
     ratio_lemma_check,
     vertex_degree,
 )
+from chardeg.report import FAIL, Inequality
 from chardeg.serialize import graph_from_doc, graph_to_doc, graph_to_dot
-from chardeg.spectrum import degree_table
+from chardeg.spectrum import DegreeClass, DegreeSpectrum, degree_table
 
 
 def union_find_components(n):
@@ -185,6 +186,38 @@ class TestCountChecks:
             low_degree_count_check(5, 0)
         with pytest.raises(ValueError):
             near_max_count_check(5, 99)
+
+    def test_stated_from_five(self):
+        for n in range(1, 5):
+            for check in (low_degree_count_check_all, near_max_count_check_all,
+                          lambda n: low_degree_count_check(n, 1),
+                          lambda n: near_max_count_check(n, 1)):
+                with pytest.raises(ValueError, match="n >= 5"):
+                    check(n)
+
+    def test_low_degree_records_the_smallest_slack(self, monkeypatch):
+        # classes of sizes 1, 1, 20, 3: twice the characters above each
+        # class is 0, 2, 4, 44, so 0, 3, 5, 0 low-degree members fail r=2, 3
+        monkeypatch.setattr(graph, "_class_sizes",
+                            lambda n: ([100, 60, 10, 1], [1, 1, 20, 3], [0, 1, 2, 22, 25]))
+        monkeypatch.setattr(graph, "_low_degree", lambda n, degrees: ([0, 3, 5, 0], {}))
+        rep = low_degree_count_check_all(9)
+        assert rep.status == FAIL and rep.consistent()
+        q = rep.inequalities[0]
+        assert (q.label, q.left, q.right) == ("low-degree-members[r=2]", 3, 2)
+        assert rep.notes == ("classes=4", "violating r=2", "violating r=3")
+
+    def test_near_max_records_the_smallest_slack(self, monkeypatch):
+        # only class 3 (degree 10, 20 characters) fails: no character lies
+        # in (10/4, 10) against 20 - 4*2 needed
+        classes = tuple(DegreeClass(d, size, ()) for d, size in
+                        ((100, 1), (60, 1), (10, 20), (1, 3)))
+        monkeypatch.setattr(graph, "cached_spectrum",
+                            lambda group, n: DegreeSpectrum(n, group, classes))
+        rep = near_max_count_check_all(9)
+        assert rep.status == FAIL and rep.consistent()
+        assert rep.inequalities == (Inequality("near-top-characters[r=3]", 0, ">=", 12),)
+        assert rep.notes == ("classes=4", "violating r=3")
 
     def test_all_classes_small_range(self):
         for n in range(5, 21):

@@ -124,6 +124,9 @@ class TestConjugate:
         assert is_self_conjugate((3, 1, 1))
         assert is_self_conjugate((3, 2, 1))
         assert not is_self_conjugate((4, 1))
+        for n in range(15):
+            for lam in enumerate_partitions(n):
+                assert is_self_conjugate(lam) == (conjugate(lam) == lam), lam
 
 
 class TestNodes:

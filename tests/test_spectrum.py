@@ -27,7 +27,8 @@ from chardeg import (
     verify_theorem2,
 )
 from chardeg import spectrum
-from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, VerificationReport
+from chardeg.exact import induction_bound
+from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, Inequality, VerificationReport
 from chardeg.spectrum import (
     MEMBER_CAP,
     DegreeClass,
@@ -38,6 +39,16 @@ from chardeg.spectrum import (
     pool_size,
     splits,
 )
+
+
+def serve_spectra(monkeypatch, n, s_classes, b_a):
+    """Make ``cached_spectrum`` serve an S_n spectrum of the given (degree,
+    size, members) classes and an A_n spectrum whose top degree is b_a."""
+    specs = {
+        "S": DegreeSpectrum(n, "S", tuple(DegreeClass(*c) for c in s_classes)),
+        "A": DegreeSpectrum(n, "A", (DegreeClass(b_a, 1, ()),)),
+    }
+    monkeypatch.setattr(spectrum, "cached_spectrum", lambda group, m: specs[group])
 
 
 class TestSpectrumSn:
@@ -342,6 +353,17 @@ class TestReport:
         for status in (INFORMATIONAL, INCONCLUSIVE):
             assert VerificationReport(check="theorem2", n=8, status=status).consistent()
 
+    def test_consistent_re_derives_the_verdict(self):
+        held, missed = Inequality("held", 2, ">", 1), Inequality("missed", 1, ">", 2)
+        for status, ineqs, expected in [
+            (FAIL, (held, missed), True),
+            (FAIL, (held,), False),
+            (PASS, (held,), True),
+            (PASS, (held, missed), False),
+        ]:
+            rep = VerificationReport(check="theorem2", n=8, status=status, inequalities=ineqs)
+            assert rep.consistent() is expected, (status, ineqs)
+
 
 class TestEpsilon:
     def test_examples(self):
@@ -414,6 +436,12 @@ class TestSandwich:
     def test_sweep(self):
         for n in range(5, 31):
             assert sandwich_check(n).passed
+
+    def test_stated_from_five(self):
+        # at n = 3, 2·b(A_3) = b(S_3) = 2, outside the stated bound
+        for n in range(1, 5):
+            with pytest.raises(ValueError, match="n >= 5"):
+                sandwich_check(n)
 
 
 class TestBranchDecompose:
@@ -514,6 +542,24 @@ class TestMoveScan:
         assert move_scan_verify(7, group).status == INCONCLUSIVE
         assert calls == [("verify_theorem2" if group == "S" else "verify_theorem1", 7)]
 
+    def test_multiple_self_conjugate_maximizers(self, monkeypatch):
+        # no n <= 55 has two S_n maximizers with b(A_n) < b(S_n), so a
+        # made-up spectrum takes the branch; its record holds without the
+        # full-spectrum theorem
+        maximizers = ((4, 2, 1, 1), (3, 3, 2))
+        serve_spectra(monkeypatch, 8, [(90, 2, maximizers), (40, 5, ())], b_a=45)
+
+        def no_theorem(n, **kwargs):
+            raise AssertionError("the theorem fallback ran")
+
+        monkeypatch.setattr(spectrum, "verify_theorem1", no_theorem)
+        monkeypatch.setattr(spectrum, "verify_theorem2", no_theorem)
+        rep = move_scan_verify(8, "A")
+        assert rep.status == PASS and rep.consistent()
+        assert "multiple-self-conjugate-maximizers" in rep.notes
+        assert rep.inequalities == (Inequality("four-split-characters", 8100, ">", 2025),)
+        assert rep.witnesses == maximizers
+
     def test_sweep_statuses(self):
         for n in range(7, 26):
             assert move_scan_verify(n, "S").status in (PASS, INCONCLUSIVE)
@@ -557,9 +603,24 @@ class TestEpsilonBounds:
         with pytest.raises(ValueError):
             epsilon_lower_bounds(4)
 
+    def test_induction_bound(self):
+        # sqrt(16) and sqrt(36) are exact
+        assert induction_bound(8, 1) == Fraction(9, 16)
+        assert induction_bound(18, 2) == Fraction(25, 9)
+        assert induction_bound(8, 4) == 0
+        assert induction_bound(8, 30) == 0  # a negative base is clamped
+        # (5 - sqrt(10))^2 / 10 = 0.33772233983..., approached from below
+        assert Fraction(3377223398, 10**10) < induction_bound(5, 0) < Fraction(3377223399, 10**10)
+
 
 class TestSpectrumXY:
     def test_values(self):
         assert spectrum_xy(5) == (1, 2)
         assert spectrum_xy(6) == (1, 2)
         assert spectrum_xy(7) == (0, 2)
+
+    def test_top_alternating_degree_not_a_symmetric_degree(self, monkeypatch):
+        # every n = 5..55 has y = 2; a made-up spectrum has b(A_n) between
+        # two S_n degrees, so no S_n class has it
+        serve_spectra(monkeypatch, 8, [(100, 1, ()), (60, 3, ()), (40, 4, ())], b_a=50)
+        assert spectrum_xy(8) == (4, 0)
