@@ -38,7 +38,6 @@ from .serialize import (
 from .spectrum import (
     DEFAULT_MAX_N,
     branch_decompose,
-    cached_spectrum,
     epsilon,
     epsilon_lower_bounds,
     induced_bound_check,
@@ -199,18 +198,19 @@ def _move_scans(n: int, override_domain: bool) -> list:
 
 
 # ``verify --checks`` names -> (domain floor, floor under --override-domain,
-# runner).  A runner maps (n, override_domain) to the check's reports.  The
-# runners name their check functions as module globals, looked up at call
-# time, so that rebinding a module attribute reaches them.
+# runner, reads the degree table).  A runner maps (n, override_domain) to the
+# check's reports.  The runners name their check functions as module globals,
+# looked up at call time, so that rebinding a module attribute reaches them.
 CHECKS = {
-    "theorem1": (5, 2, lambda n, od: [verify_theorem1(n, override_domain=od)]),
-    "theorem2": (7, 2, lambda n, od: [verify_theorem2(n, override_domain=od)]),
-    "sandwich": (5, 5, lambda n, od: [sandwich_check(n)]),
-    "ratio-lemma": (1, 1, lambda n, od: [ratio_lemma_check(n)]),
-    "count-lemmas": (5, 5, lambda n, od: [low_degree_count_check_all(n), near_max_count_check_all(n)]),
-    "move-scan": (5, 5, _move_scans),
-    "induced-bound": (5, 5, lambda n, od: [induced_bound_check(n)]),
-    "epsilon-bounds": (5, 5, lambda n, od: [epsilon_lower_bounds(n)]),
+    "theorem1": (5, 2, lambda n, od: [verify_theorem1(n, override_domain=od)], False),
+    "theorem2": (7, 2, lambda n, od: [verify_theorem2(n, override_domain=od)], False),
+    "sandwich": (5, 5, lambda n, od: [sandwich_check(n)], False),
+    "ratio-lemma": (1, 1, lambda n, od: [ratio_lemma_check(n)], True),
+    "count-lemmas": (5, 5, lambda n, od: [low_degree_count_check_all(n),
+                                          near_max_count_check_all(n)], True),
+    "move-scan": (5, 5, _move_scans, False),
+    "induced-bound": (5, 5, lambda n, od: [induced_bound_check(n)], False),
+    "epsilon-bounds": (5, 5, lambda n, od: [epsilon_lower_bounds(n)], False),
 }
 
 
@@ -238,7 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _guard(ns[-1], args.max_n)
     lows = []
     for name in requested:
-        lo, lo_override, _ = CHECKS[name]
+        lo, lo_override, _, _ = CHECKS[name]
         if args.override_domain:
             lo = lo_override
         if ns[-1] < lo:
@@ -247,13 +247,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"requested range lies outside its domain"
             )
         lows.append(lo)
-    # Evaluate n-major, so each n's degree table is built once and dropped
-    # before the next n; report check-major, one check's range at a time.
+    # Evaluate n-major, so each n's store is built once and dropped before
+    # the next n; report check-major, one check's range at a time.  A table
+    # that a check due at n reads is asked for before any check runs, or
+    # theorem1 would build n without it and ratio-lemma would build n again.
     per_check: list[list] = [[] for _ in requested]
     for n in ns:
-        for name, lo, out in zip(requested, lows, per_check):
-            if n >= lo:
-                out.extend(CHECKS[name][2](n, args.override_domain))
+        due = [(name, out) for name, lo, out in zip(requested, lows, per_check) if n >= lo]
+        if any(CHECKS[name][3] for name, _ in due):
+            spectrum.degree_table(n)
+        for name, out in due:
+            out.extend(CHECKS[name][2](n, args.override_domain))
     reports = [r for out in per_check for r in out]
     if args.fmt == "json":
         doc = {"schema": SCHEMA_VERSION, "reports": [report_to_doc(r) for r in reports]}
@@ -272,8 +276,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     out = Path(args.out)
     rows = ["n,b_s,m1,b_a,ba_equals_bs,eps_s,eps_s_decimal,eps_a,eps_a_decimal,x,y"]
     for n in range(5, args.n + 1):
-        s_spec = cached_spectrum("S", n)
-        a_spec = cached_spectrum("A", n)
+        s_spec = spectrum.cached_spectrum("S", n)
+        a_spec = spectrum.cached_spectrum("A", n)
         eps_s = epsilon(s_spec)
         eps_a = epsilon(a_spec)
         x, y = spectrum_xy(n)

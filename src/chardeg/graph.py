@@ -16,6 +16,7 @@ from heapq import nlargest
 from itertools import accumulate
 from typing import Iterable, Iterator
 
+from . import spectrum
 from .partitions import (
     Partition,
     count_partitions,
@@ -25,7 +26,6 @@ from .partitions import (
     lambda_up,
 )
 from .report import FAIL, PASS, Inequality, VerificationReport
-from .spectrum import cached_spectrum, degree_table
 
 PathComponent = tuple[Partition, ...]
 
@@ -91,7 +91,7 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     cover every partition of n, so a walk that misses one raises
     ArithmeticError.
     """
-    table = degree_table(n)
+    table = spectrum.degree_table(n)
     violations: list[tuple[Partition, Fraction]] = []
     interior = 0
     visited = 0
@@ -138,7 +138,7 @@ def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
     so a smaller n raises ValueError."""
     if n < 5:
         raise ValueError("counting checks need n >= 5")
-    spec = cached_spectrum("S", n)
+    spec = spectrum.cached_spectrum("S", n)
     degrees = [c.degree for c in spec.classes]
     sizes = [c.size for c in spec.classes]
     return degrees, sizes, [0, *accumulate(sizes)]
@@ -150,7 +150,7 @@ def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[P
     have any; a report samples the three largest."""
     index_of = {d: i for i, d in enumerate(degrees)}
     members: dict[int, list[Partition]] = {}
-    for lam, d in degree_table(n).items():
+    for lam, d in spectrum.degree_table(n).items():
         if vertex_degree(lam) < 2:
             members.setdefault(index_of[d], []).append(lam)
     return [len(members.get(i, ())) for i in range(len(degrees))], members

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import decimal_str, induction_bound
-from .hooks import hook_product
+from .hooks import degree_sn, hook_product
 from .partitions import (
     Partition,
     conjugate,
@@ -255,16 +255,14 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
 
 
 def _build(
-    n: int, groups: str, threads: int = 1, table: dict | None = None
+    n: int, groups: str, all_members: bool, threads: int = 1, table: dict | None = None
 ) -> dict[str, DegreeSpectrum]:
     """The spectra of n for each group in ``groups``, from a process pool
     sharded by largest part above MEMBER_CAP with two or more workers, else
     from one sequential pass that also fills ``table`` when given.  Classes
-    keep every member up to MEMBER_CAP, but only those of the top two
-    classes when ``table`` is given: a pass that fills the table already
-    records every partition's degree.  The pass allocates no reference
-    cycles, so the cyclic garbage collector is paused while it runs."""
-    all_members = table is None and n <= MEMBER_CAP
+    keep every member with ``all_members``, else only those of the top two
+    classes.  The pass allocates no reference cycles, so the cyclic garbage
+    collector is paused while it runs."""
     workers = pool_size(threads, n, os.cpu_count())
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -304,13 +302,13 @@ def spectrum_sn(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> Degr
     independent of the worker count.
     """
     _check_n(n, 1, max_n)
-    return _build(n, "S", threads)["S"]
+    return _build(n, "S", n <= MEMBER_CAP, threads)["S"]
 
 
 def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> DegreeSpectrum:
     """Complete exact degree spectrum of the alternating group on n points."""
     _check_n(n, 2, max_n)
-    return _build(n, "A", threads)["A"]
+    return _build(n, "A", n <= MEMBER_CAP, threads)["A"]
 
 
 def has_built_members(spec: DegreeSpectrum) -> bool:
@@ -345,37 +343,43 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     return True
 
 
-# the current n's degree table and its spectra, replaced when another n is built
-_store: tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]] | None = None
+# the current n's spectra and, when one was asked for, its degree table;
+# replaced when another n is built
+_store: tuple[int, dict[Partition, int] | None, dict[str, DegreeSpectrum]] | None = None
 
 
-def _current(n: int) -> tuple[int, dict[Partition, int], dict[str, DegreeSpectrum]]:
+def _current(
+    n: int, table: bool
+) -> tuple[int, dict[Partition, int] | None, dict[str, DegreeSpectrum]]:
     """The store for n, built by one sequential pass over the conjugate-pair
-    representatives unless it already holds n."""
+    representatives unless it already holds n, and its table when ``table``."""
     global _store
-    if _store is None or _store[0] != n:
+    if _store is None or _store[0] != n or (table and _store[1] is None):
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
-        table: dict[Partition, int] = {}
-        _store = (n, table, _build(n, "SA" if n >= 2 else "S", table=table))
+        degrees: dict[Partition, int] | None = {} if table else None
+        _store = (n, degrees, _build(n, "SA" if n >= 2 else "S", False, table=degrees))
     return _store
 
 
 def degree_table(n: int) -> dict[Partition, int]:
     """Partition -> exact symmetric-group degree, for every partition of n:
-    the store's only per-partition record.
+    the store's only per-partition record, which only ratio-lemma and
+    count-lemmas read.
 
     Only the most recent n is held, together with its S_n and A_n spectra;
-    asking for another n rebuilds.
+    asking for another n, or for the table of an n whose spectra were built
+    without it, rebuilds.
     """
-    return _current(n)[1]
+    return _current(n, True)[1]
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
     """Sequentially computed spectrum, from the same store as ``degree_table``;
-    at every n only its top two classes keep their members."""
+    at every n only its top two classes keep their members.  A first call
+    for n builds the spectra without the table."""
     _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
-    return _current(n)[2][group]
+    return _current(n, False)[2][group]
 
 
 def clear_spectrum_cache() -> None:
@@ -486,9 +490,12 @@ def branch_decompose(parts: Partition) -> BranchDecomposition:
 
 
 def _scan_degrees(parts: Partition) -> dict[Partition, int]:
-    """Exact degrees of every single-node move of ``parts``."""
-    table = degree_table(sum(parts))
-    return {moved: table[moved] for _i, _j, moved in iter_moves(parts)}
+    """Exact degrees of every single-node move of ``parts``: read from the
+    store's table when it holds one for this n, else from the hook formula."""
+    n = sum(parts)
+    table = _store[1] if _store is not None and _store[0] == n else None
+    degree = degree_sn if table is None else table.__getitem__
+    return {moved: degree(moved) for _i, _j, moved in iter_moves(parts)}
 
 
 def _move_mass(members, below: int, target, label: str) -> list[Inequality]:

@@ -864,10 +864,12 @@ class TestVerifyCmd:
         [
             (("--n", "44"), "7c540cf83417f69cbe06ba040e6ca497"),
             (("--n", "50"), "4781547ae1e23f6f6ff4cc97de509a3a"),
+            pytest.param(("--range", "41..49"), "9cb7c09095461e7bfc30fc048c25ede3",
+                         marks=pytest.mark.stretch),
             pytest.param(("--range", "50..60"), "8d04e17a819273f565b17a84efaab0d7",
                          marks=pytest.mark.stretch),
         ],
-        ids=["n44", "n50", "range50-60"],
+        ids=["n44", "n50", "range41-49", "range50-60"],
     )
     def test_golden_bytes_with_induced_hypotheses_active(self, capsys, span, expected):
         # the alternating induced-bound hypotheses hold at n = 44 and the
@@ -889,6 +891,37 @@ class TestVerifyCmd:
         code, out, _ = run(capsys, "verify", "--n", "5", "--checks", "sandwich",
                            "--threads", "1")
         assert code == 0 and out.startswith("PASS")
+
+
+TABLE_FREE_RUNS = [
+    *[pytest.param(("verify", "--range", "5..12", "--checks", name), id=name)
+      for name, (_, _, _, reads_table) in cli.CHECKS.items() if not reads_table],
+    pytest.param(("scan", "--n", "12"), id="scan"),
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_FREE_RUNS)
+def test_runs_build_no_degree_table(capsys, monkeypatch, tmp_path, argv):
+    # a CHECKS row marked as not reading the table, and scan, run with the
+    # table builder broken, give the same bytes and leave no table stored
+    out_file = tmp_path / "scan.csv"
+    if argv[0] == "scan":
+        argv += ("--out", str(out_file))
+
+    def outputs():
+        spectrum.clear_spectrum_cache()
+        out_file.unlink(missing_ok=True)
+        code, out, err = run(capsys, *argv)
+        return code, out, err, out_file.read_bytes() if out_file.exists() else None
+
+    expected = outputs()
+
+    def no_table(n):
+        raise AssertionError("the degree table was built")
+
+    monkeypatch.setattr(spectrum, "degree_table", no_table)
+    assert outputs() == expected and expected[0] == 0
+    assert spectrum._store[1] is None
 
 
 REMOVED_FLAGS = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from chardeg import graph
+from chardeg import graph, spectrum
 from chardeg import (
     build_graph,
     count_partitions,
@@ -212,7 +212,7 @@ class TestCountChecks:
         # in (10/4, 10) against 20 - 4*2 needed
         classes = tuple(DegreeClass(d, size, ()) for d, size in
                         ((100, 1), (60, 1), (10, 20), (1, 3)))
-        monkeypatch.setattr(graph, "cached_spectrum",
+        monkeypatch.setattr(spectrum, "cached_spectrum",
                             lambda group, n: DegreeSpectrum(n, group, classes))
         rep = near_max_count_check_all(9)
         assert rep.status == FAIL and rep.consistent()

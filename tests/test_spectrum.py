@@ -26,7 +26,7 @@ from chardeg import (
     verify_theorem1,
     verify_theorem2,
 )
-from chardeg import spectrum
+from chardeg import cli, spectrum
 from chardeg.exact import induction_bound
 from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, Inequality, VerificationReport
 from chardeg.spectrum import (
@@ -49,6 +49,57 @@ def serve_spectra(monkeypatch, n, s_classes, b_a):
         "A": DegreeSpectrum(n, "A", (DegreeClass(b_a, 1, ()),)),
     }
     monkeypatch.setattr(spectrum, "cached_spectrum", lambda group, m: specs[group])
+
+
+def record_reports(monkeypatch, name):
+    """The reports that the ``cli.CHECKS`` row ``name`` hands to verify,
+    filled in as verify runs it."""
+    reports = []
+    lo, lo_override, runner, reads_table = cli.CHECKS[name]
+
+    def recorded(n, override_domain):
+        out = runner(n, override_domain)
+        reports.extend(out)
+        return out
+
+    monkeypatch.setitem(cli.CHECKS, name, (lo, lo_override, recorded, reads_table))
+    return reports
+
+
+class TestVerifyFailsFromData:
+    """Made-up data drives a check to FAIL through the command line: exit
+    code 1, a FAIL line, and every report consistent with at least one
+    recorded inequality."""
+
+    def assert_fails(self, capsys, monkeypatch, name, n):
+        reports = record_reports(monkeypatch, name)
+        code = cli.main(["verify", "--n", str(n), "--checks", name])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert any(line.startswith("FAIL") for line in out.splitlines())
+        assert any(r.status == FAIL for r in reports)
+        assert all(r.consistent() and r.inequalities for r in reports)
+
+    @pytest.mark.parametrize("name", ["theorem1", "theorem2", "epsilon-bounds"])
+    def test_one_top_degree_over_a_light_tail(self, capsys, monkeypatch, name):
+        # top degree 180 x1 in S_8 and A_8, 78 characters of degree 10 below
+        # it in S_8: far less than 180^2 lies below the top
+        serve_spectra(monkeypatch, 8, [(180, 1, ()), (10, 78, ())], b_a=180)
+        self.assert_fails(capsys, monkeypatch, name, 8)
+
+    def test_sandwich(self, capsys, monkeypatch):
+        # b(A_8) = b(S_8)/2, so twice it does not exceed b(S_8)
+        serve_spectra(monkeypatch, 8, [(100, 1, ())], b_a=50)
+        self.assert_fails(capsys, monkeypatch, "sandwich", 8)
+
+    def test_ratio_lemma(self, capsys, monkeypatch):
+        # (2,1^10) lies between (3,1^9) and (1^12) on one move path; with the
+        # degrees of (1^12) and (2,1^10) swapped its ratio leaves (1, 4)
+        table = dict(degree_table(12))
+        ones, hook = (1,) * 12, (2,) + (1,) * 10
+        table[ones], table[hook] = table[hook], table[ones]
+        monkeypatch.setattr(spectrum, "degree_table", lambda n: table)
+        self.assert_fails(capsys, monkeypatch, "ratio-lemma", 12)
 
 
 class TestSpectrumSn:
@@ -492,6 +543,26 @@ class TestInducedBound:
 
 
 class TestMoveScan:
+    def test_move_degrees_agree_with_and_without_the_table(self, monkeypatch):
+        # the scans read move degrees from the store's table when it holds
+        # one, else from the hook formula; both give the same integers
+        def no_formula(parts):
+            raise AssertionError("a move degree came from the hook formula")
+
+        try:
+            for n in range(5, 21):
+                spectrum.clear_spectrum_cache()
+                classes = cached_spectrum("S", n).classes[:2]
+                members = [lam for c in classes for lam in c.members]
+                assert spectrum._store[1] is None and members
+                formula = [spectrum._scan_degrees(lam) for lam in members]
+                degree_table(n)
+                with monkeypatch.context() as m:
+                    m.setattr(spectrum, "degree_sn", no_formula)
+                    assert [spectrum._scan_degrees(lam) for lam in members] == formula
+        finally:
+            spectrum.clear_spectrum_cache()
+
     def test_s_n7_inconclusive(self):
         rep = move_scan_verify(7, "S")
         assert rep.status == INCONCLUSIVE
