@@ -198,7 +198,7 @@ def _move_scans(n: int, override_domain: bool) -> list:
 
 
 # ``verify --checks`` names -> (domain floor, floor under --override-domain,
-# runner, reads the degree table).  A runner maps (n, override_domain) to the
+# runner, reads the move facts).  A runner maps (n, override_domain) to the
 # check's reports.  The runners name their check functions as module globals,
 # looked up at call time, so that rebinding a module attribute reaches them.
 CHECKS = {
@@ -248,14 +248,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         lows.append(lo)
     # Evaluate n-major, so each n's store is built once and dropped before
-    # the next n; report check-major, one check's range at a time.  A table
-    # that a check due at n reads is asked for before any check runs, or
-    # theorem1 would build n without it and ratio-lemma would build n again.
+    # the next n; report check-major, one check's range at a time.  Move
+    # facts that a check due at n reads are asked for before any check runs,
+    # or theorem1 would build n without them and ratio-lemma would build n
+    # again.
     per_check: list[list] = [[] for _ in requested]
     for n in ns:
         due = [(name, out) for name, lo, out in zip(requested, lows, per_check) if n >= lo]
         if any(CHECKS[name][3] for name, _ in due):
-            spectrum.degree_table(n)
+            spectrum.move_facts(n)
         for name, out in due:
             out.extend(CHECKS[name][2](n, args.override_domain))
     reports = [r for out in per_check for r in out]

@@ -76,6 +76,20 @@ def build_graph(n: int) -> PartitionGraph:
     return PartitionGraph(n, tuple(_paths(enumerate_partitions(n))))
 
 
+def _move_facts(n: int) -> spectrum.MoveFacts:
+    """The store's move facts for n.  A verdict read from them covers every
+    partition of n only if the facts do, so facts whose two-neighbour
+    partitions and low-degree members do not add up to p(n) raise
+    ArithmeticError."""
+    facts = spectrum.move_facts(n)
+    covered = facts.interior + sum(map(len, facts.low.values()))
+    if covered != count_partitions(n):
+        raise ArithmeticError(
+            f"move facts of {n} cover {covered} of {count_partitions(n)} partitions"
+        )
+    return facts
+
+
 def ratio_lemma_check(n: int) -> VerificationReport:
     """Strict bounds 1 < H(dn)H(up)/H^2 < 4 at every two-neighbor vertex.
 
@@ -83,36 +97,18 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     hook-ratio products in the bound are empty; that documented boundary is
     reported, not failed.
 
-    With H = n!/d the ratio is d^2 / (d(up) d(dn)), so the bounds are
-    compared on degrees in integers; a Fraction is made only for a
-    violation.  The paths are walked from the tops among the degree
-    table's keys, in the table's order, so the partitions of n are not
-    enumerated a second time.  A pass covers every vertex only if the paths
-    cover every partition of n, so a walk that misses one raises
-    ArithmeticError.
+    The bounds are compared in integers by the store's pass, which keeps
+    each violation with its ratio as a Fraction; a FAIL lists the first ten
+    violations in pass order.  The pass must cover every partition of n
+    (see ``_move_facts``).
     """
-    table = spectrum.degree_table(n)
-    violations: list[tuple[Partition, Fraction]] = []
-    interior = 0
-    visited = 0
-    for comp in _paths(table):
-        visited += len(comp)
-        ds = [table[v] for v in comp]
-        for i in range(1, len(ds) - 1):
-            interior += 1
-            square = ds[i] * ds[i]
-            neighbors_product = ds[i - 1] * ds[i + 1]
-            if not neighbors_product < square < 4 * neighbors_product:
-                violations.append((comp[i], Fraction(square, neighbors_product)))
-    if visited != count_partitions(n):
-        raise ArithmeticError(
-            f"move paths of {n} cover {visited} of {count_partitions(n)} partitions"
-        )
+    facts = _move_facts(n)
+    violations = facts.violations
     boundary = n == 3 and violations == [((2, 1), Fraction(4))]
     ineq = Inequality(
         "ratio-violations", len(violations) - (1 if boundary else 0), "==", 0
     )
-    notes = [f"two-neighbor-vertices={interior}"]
+    notes = [f"two-neighbor-vertices={facts.interior}"]
     if boundary:
         notes.append("boundary: 2,1 attains ratio exactly 4")
         status = PASS
@@ -146,13 +142,10 @@ def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
 
 def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[Partition]]]:
     """Per class, the number of its partitions with fewer than two move
-    neighbours, and those partitions in table order for the classes that
+    neighbours, and those partitions in pass order for the classes that
     have any; a report samples the three largest."""
     index_of = {d: i for i, d in enumerate(degrees)}
-    members: dict[int, list[Partition]] = {}
-    for lam, d in spectrum.degree_table(n).items():
-        if vertex_degree(lam) < 2:
-            members.setdefault(index_of[d], []).append(lam)
+    members = {index_of[d]: lams for d, lams in _move_facts(n).low.items()}
     return [len(members.get(i, ())) for i in range(len(degrees))], members
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, prod
 
 from .exact import decimal_str, induction_bound
-from .hooks import degree_sn, hook_product
+from .hooks import degree_sn, hook_lengths, hook_product
 from .partitions import (
     Partition,
     conjugate,
@@ -147,57 +148,94 @@ class _Classes:
     """Characters per degree for one group, with the members of every degree
     or only of the two largest degrees added so far.
 
-    ``classes`` maps a degree to [characters, members], where members is a
-    list of partitions, or None for a degree whose members are not kept.  A
-    degree that drops out of the top two loses its members at once.
+    ``chars`` maps a degree to its number of characters, and ``members`` a
+    degree to its list of partitions.  A degree that drops out of the top
+    two loses its members at once.
     """
 
-    __slots__ = ("classes", "all_members", "top")
+    __slots__ = ("chars", "members", "all_members")
 
     def __init__(self, all_members: bool):
-        self.classes: dict[int, list] = {}
+        self.chars: dict[int, int] = {}
+        self.members: dict[int, list[Partition]] = {}
         self.all_members = all_members
-        self.top: list[int] = []  # the degrees with members, when not all are kept
 
     def add(self, degree: int, chars: int, members) -> None:
-        entry = self.classes.get(degree)
-        if entry is not None:
-            entry[0] += chars
-            if entry[1] is not None:
-                entry[1].extend(members)
+        if degree in self.chars:
+            self.chars[degree] += chars
+            kept = self.members.get(degree)
+            if kept is not None:
+                kept.extend(members)
             return
-        kept = None
-        top = self.top
-        if self.all_members:
-            kept = list(members)
-        elif len(top) < 2 or degree > min(top):
-            if len(top) == 2:
-                dropped = min(top)
-                top.remove(dropped)
-                self.classes[dropped][1] = None
-            top.append(degree)
-            kept = list(members)
-        self.classes[degree] = [chars, kept]
+        self.chars[degree] = chars
+        held = self.members
+        if not self.all_members and len(held) == 2:
+            low = min(held)
+            if degree < low:
+                return
+            del held[low]
+        held[degree] = list(members)
+
+
+def _ratio_terms(lam: Partition, hooks: list[int]) -> tuple[int, int]:
+    """(4·∏(h²−1), ∏h²) over λ's first-row hooks h_1j, 2 <= j <= λ_1 − 1, and
+    its first-column hooks h_i1, 2 <= i <= ℓ − 1, given λ's hook lengths
+    row by row.  When λ has both moves their quotient is
+    H(λ_dn)·H(λ_up)/H(λ)²: neither move changes a hook off the first row
+    and column.  At (2, 1) both products are empty and it is 4."""
+    picked = hooks[1:lam[0] - 1]
+    picked += map(hooks.__getitem__, accumulate(lam[:len(lam) - 2]))  # starts of rows 2..ℓ-1
+    return 4 * prod([h * h - 1 for h in picked]), prod(picked) ** 2
+
+
+@dataclass(slots=True)
+class MoveFacts:
+    """What ratio-lemma and count-lemmas read of the partitions of n, folded
+    into the store's pass: how many partitions have both moves; those among
+    them whose ratio H(λ_dn)·H(λ_up)/H(λ)² lies outside (1, 4), with that
+    ratio, in pass order; and per degree the partitions with fewer than two
+    move neighbours."""
+
+    interior: int = 0
+    violations: list[tuple[Partition, Fraction]] = field(default_factory=list)
+    low: dict[int, list[Partition]] = field(default_factory=dict)
+
+    def add(self, lam: Partition, conj: Partition, hooks: list[int], degree: int) -> None:
+        """Fold in λ and its conjugate, given λ's hook lengths row by row.
+        Conjugation swaps λ_up and λ_dn, so λ′ has as many move neighbours
+        as λ and the same ratio."""
+        pair = (lam,) if lam == conj else (lam, conj)
+        if len(lam) >= 2 and lam[-1] == 1 and lam[0] > lam[1]:
+            self.interior += len(pair)
+            top, bottom = _ratio_terms(lam, hooks)
+            if not bottom < top < 4 * bottom:
+                ratio = Fraction(top, bottom)
+                self.violations.extend((v, ratio) for v in pair)
+        else:
+            self.low.setdefault(degree, []).extend(pair)
 
 
 def _pair_shard(
-    n: int, first_parts, groups: str, all_members: bool, table: dict | None = None
-) -> dict[str, dict[int, list]]:
+    n: int, first_parts, groups: str, all_members: bool,
+    table: dict | None = None, facts: MoveFacts | None = None,
+) -> dict[str, tuple[dict[int, int], dict[int, list[Partition]]]]:
     """Degrees over the partitions of n whose largest part is in
     ``first_parts``, walked in the order given.
 
     Visits one representative per conjugate pair: λ is skipped when it has
     more parts than its first part, because its conjugate, which has a
     larger first part, stands for the pair; on a tie λ is kept when
-    λ >= λ'.  Each representative costs one conjugate, one hook product
-    and one exact division, since conjugates share the hook product.
+    λ >= λ'.  Each representative costs one conjugate, one list of hook
+    lengths and one exact division, since conjugates share the hook
+    product.
 
-    Returns group -> ``_Classes.classes`` for each group in ``groups``.  In
-    the symmetric group a pair counts twice and both partitions are
-    members, λ before λ'; in the alternating group a self-conjugate
-    representative splits into two characters of half the degree.  With
-    ``table`` given, both partitions of every pair are entered in it with
-    their symmetric-group degree.
+    Returns group -> (``_Classes.chars``, ``_Classes.members``) for each
+    group in ``groups``.  In the symmetric group a pair counts twice and
+    both partitions are members, λ before λ'; in the alternating group a
+    self-conjugate representative splits into two characters of half the
+    degree.  With ``table`` given, both partitions of every pair are
+    entered in it with their symmetric-group degree; with ``facts`` given,
+    both are folded into it.
     """
     fact = factorial(n)
     sym = _Classes(all_members) if "S" in groups else None
@@ -214,12 +252,15 @@ def _pair_shard(
         conj = conjugate(lam)
         if rows == lam[0] and lam < conj:
             continue
-        d, rem = divmod(fact, hook_product(lam, conj))
+        hooks = hook_lengths(lam, conj)
+        d, rem = divmod(fact, prod(hooks))
         if rem:
             raise ArithmeticError(f"hook product does not divide {n}! for {lam}")
         if table is not None:
             table[lam] = d
             table[conj] = d
+        if facts is not None:
+            facts.add(lam, conj, hooks, d)
         if lam == conj:
             if sym is not None:
                 sym.add(d, 1, (lam,))
@@ -233,17 +274,20 @@ def _pair_shard(
                 sym.add(d, 2, (lam, conj))
             if alt is not None:
                 alt.add(d, 1, (lam,))
-    return {g: c.classes for g, c in (("S", sym), ("A", alt)) if c is not None}
+    return {g: (c.chars, c.members) for g, c in (("S", sym), ("A", alt)) if c is not None}
 
 
-def _spectrum(n: int, group: str, classes: dict[int, list]) -> DegreeSpectrum:
-    """The spectrum of ``_Classes.classes``, members in descending order."""
+def _spectrum(
+    n: int, group: str, chars: dict[int, int], members: dict[int, list[Partition]]
+) -> DegreeSpectrum:
+    """The spectrum of a ``_Classes``' counts and members, members in
+    descending order."""
     out = []
-    for deg in sorted(classes, reverse=True):
-        size, kept = classes[deg]
+    for deg in sorted(chars, reverse=True):
+        kept = members.get(deg)
         if kept:
             kept.sort(reverse=True)
-        out.append(DegreeClass(deg, size, tuple(kept or ())))
+        out.append(DegreeClass(deg, chars[deg], tuple(kept or ())))
     return check_invariants(DegreeSpectrum(n, group, tuple(out)))
 
 
@@ -255,14 +299,15 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
 
 
 def _build(
-    n: int, groups: str, all_members: bool, threads: int = 1, table: dict | None = None
+    n: int, groups: str, all_members: bool, threads: int = 1,
+    table: dict | None = None, facts: MoveFacts | None = None,
 ) -> dict[str, DegreeSpectrum]:
     """The spectra of n for each group in ``groups``, from a process pool
     sharded by largest part above MEMBER_CAP with two or more workers, else
-    from one sequential pass that also fills ``table`` when given.  Classes
-    keep every member with ``all_members``, else only those of the top two
-    classes.  The pass allocates no reference cycles, so the cyclic garbage
-    collector is paused while it runs."""
+    from one sequential pass that also fills ``table`` and ``facts`` when
+    given.  Classes keep every member with ``all_members``, else only those
+    of the top two classes.  The pass allocates no reference cycles, so the
+    cyclic garbage collector is paused while it runs."""
     workers = pool_size(threads, n, os.cpu_count())
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -276,12 +321,13 @@ def _build(
                                   [groups] * n, [all_members] * n)
                 for shard in shards:
                     for g in groups:
-                        for deg, (chars, members) in shard[g].items():
-                            merged[g].add(deg, chars, members or ())
-            classes = {g: c.classes for g, c in merged.items()}
+                        chars, members = shard[g]
+                        for deg, k in chars.items():
+                            merged[g].add(deg, k, members.get(deg, ()))
+            classes = {g: (c.chars, c.members) for g, c in merged.items()}
         else:
-            classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table)
-        return {g: _spectrum(n, g, classes[g]) for g in groups}
+            classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table, facts)
+        return {g: _spectrum(n, g, *classes[g]) for g in groups}
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -343,43 +389,55 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     return True
 
 
-# the current n's spectra and, when one was asked for, its degree table;
-# replaced when another n is built
-_store: tuple[int, dict[Partition, int] | None, dict[str, DegreeSpectrum]] | None = None
+# the current n's spectra and, when they were asked for, its degree table and
+# move facts; replaced when another n is built
+_store: tuple[int, dict[Partition, int] | None, MoveFacts | None,
+              dict[str, DegreeSpectrum]] | None = None
 
 
 def _current(
-    n: int, table: bool
-) -> tuple[int, dict[Partition, int] | None, dict[str, DegreeSpectrum]]:
+    n: int, table: bool = False, facts: bool = False
+) -> tuple[int, dict[Partition, int] | None, MoveFacts | None, dict[str, DegreeSpectrum]]:
     """The store for n, built by one sequential pass over the conjugate-pair
-    representatives unless it already holds n, and its table when ``table``."""
+    representatives unless it already holds n, with its table when
+    ``table`` and its move facts when ``facts``."""
     global _store
-    if _store is None or _store[0] != n or (table and _store[1] is None):
+    held = _store if _store is not None and _store[0] == n else None
+    if held is None or (table and held[1] is None) or (facts and held[2] is None):
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
         degrees: dict[Partition, int] | None = {} if table else None
-        _store = (n, degrees, _build(n, "SA" if n >= 2 else "S", False, table=degrees))
+        moves = MoveFacts() if facts else None
+        _store = (n, degrees, moves,
+                  _build(n, "SA" if n >= 2 else "S", False, table=degrees, facts=moves))
     return _store
 
 
 def degree_table(n: int) -> dict[Partition, int]:
-    """Partition -> exact symmetric-group degree, for every partition of n:
-    the store's only per-partition record, which only ratio-lemma and
-    count-lemmas read.
+    """Partition -> exact symmetric-group degree, for every partition of n,
+    filled by the store's pass.  No command asks for it; the move scans
+    read their move degrees from it while it is held.
 
     Only the most recent n is held, together with its S_n and A_n spectra;
     asking for another n, or for the table of an n whose spectra were built
     without it, rebuilds.
     """
-    return _current(n, True)[1]
+    return _current(n, table=True)[1]
+
+
+def move_facts(n: int) -> MoveFacts:
+    """The move facts of every partition of n, which ratio-lemma and
+    count-lemmas read, folded into the store's pass; held and rebuilt like
+    ``degree_table``."""
+    return _current(n, facts=True)[2]
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
-    """Sequentially computed spectrum, from the same store as ``degree_table``;
+    """Sequentially computed spectrum, from the same store as ``move_facts``;
     at every n only its top two classes keep their members.  A first call
-    for n builds the spectra without the table."""
+    for n builds the spectra without a table or move facts."""
     _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
-    return _current(n, False)[2][group]
+    return _current(n)[3][group]
 
 
 def clear_spectrum_cache() -> None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chardeg import cli, conjugate, enumerate_partitions, spectrum
+from chardeg import cli, conjugate, count_partitions, enumerate_partitions, spectrum
 from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
 from chardeg.partitions import parse_partition
 from chardeg.serialize import json_text, spectrum_json, spectrum_to_doc
@@ -707,42 +707,54 @@ class TestVerifyCmd:
             joined.extend(json.loads(single)["reports"])
         assert json.loads(out)["reports"] == joined
 
-    def test_one_hook_product_per_conjugate_pair(self, capsys, monkeypatch):
-        import chardeg
-        from chardeg import graph, hooks, spectrum
-
+    @staticmethod
+    def hook_lists(capsys, monkeypatch, checks):
+        """The partitions whose hook lengths the pass takes over a
+        ``verify --range 5..12`` run of ``checks``, and the
+        conjugate-pair representatives of those n."""
         calls = []
-        real = hooks.hook_product
+        real = spectrum.hook_lengths
 
         def counted(parts, conj=None):
             calls.append(parts)
             return real(parts, conj)
 
-        for module in (chardeg, hooks, spectrum, graph, cli):
-            if getattr(module, "hook_product", None) is real:
-                monkeypatch.setattr(module, "hook_product", counted)
+        monkeypatch.setattr(spectrum, "hook_lengths", counted)
         # an empty store, so every n of the run is built here
         spectrum.clear_spectrum_cache()
         try:
-            code, _, _ = run(capsys, "verify", "--range", "5..12", "--checks", "all")
+            code, _, _ = run(capsys, "verify", "--range", "5..12", "--checks", checks)
         finally:
             spectrum.clear_spectrum_cache()
         assert code == 0
         representatives = {
             lam for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
         }
+        return calls, representatives
+
+    def test_one_hook_product_per_conjugate_pair(self, capsys, monkeypatch):
+        # the pass takes one list of hook lengths per representative, and
+        # its product; the move scans take their degrees from degree_sn
+        calls, representatives = self.hook_lists(capsys, monkeypatch, "all")
         assert len(calls) == len(set(calls)) == len(representatives)
         assert set(calls) == representatives
 
-    def test_store_holds_only_the_last_n(self, capsys, monkeypatch):
-        from chardeg import spectrum
+    @pytest.mark.parametrize("name", list(cli.CHECKS))
+    def test_one_pass_per_n_after_a_theorem(self, capsys, monkeypatch, name):
+        # a check that reads the move facts, run after one that does not,
+        # still finds them in the n's one pass
+        calls, representatives = self.hook_lists(capsys, monkeypatch, f"theorem1,{name}")
+        assert sorted(calls) == sorted(representatives)
 
+    def test_store_holds_only_the_last_n(self, capsys, monkeypatch):
         spectrum.clear_spectrum_cache()
         code, _, _ = run(capsys, "verify", "--range", "5..8", "--checks", "all")
         assert code == 0
-        n, table, spectra = spectrum._store
-        assert n == 8
-        assert {sum(lam) for lam in table} == {8}
+        n, table, facts, spectra = spectrum._store
+        assert n == 8 and table is None
+        low = [lam for members in facts.low.values() for lam in members]
+        assert {sum(lam) for lam in low} == {8}
+        assert facts.interior + len(low) == count_partitions(8)
         assert sorted(spectra) == ["A", "S"]
         assert {spec.n for spec in spectra.values()} == {8}
         # an earlier n is rebuilt on demand, with the top-two members that a
@@ -895,15 +907,15 @@ class TestVerifyCmd:
 
 TABLE_FREE_RUNS = [
     *[pytest.param(("verify", "--range", "5..12", "--checks", name), id=name)
-      for name, (_, _, _, reads_table) in cli.CHECKS.items() if not reads_table],
+      for name in [*cli.CHECKS, "all"]],
     pytest.param(("scan", "--n", "12"), id="scan"),
 ]
 
 
 @pytest.mark.parametrize("argv", TABLE_FREE_RUNS)
 def test_runs_build_no_degree_table(capsys, monkeypatch, tmp_path, argv):
-    # a CHECKS row marked as not reading the table, and scan, run with the
-    # table builder broken, give the same bytes and leave no table stored
+    # every CHECKS row, all of them together, and scan, run with the table
+    # builder broken, give the same bytes and leave no table stored
     out_file = tmp_path / "scan.csv"
     if argv[0] == "scan":
         argv += ("--out", str(out_file))

@@ -1,12 +1,17 @@
 """Move-graph structure, path decomposition, and the counting checks."""
 
+from fractions import Fraction
+
 import pytest
 
 from chardeg import graph, spectrum
 from chardeg import (
     build_graph,
+    conjugate,
     count_partitions,
+    degree_sn,
     enumerate_partitions,
+    hook_lengths,
     lambda_dn,
     lambda_up,
     low_degree_count_check,
@@ -15,6 +20,7 @@ from chardeg import (
     near_max_count_check_all,
     neighbors,
     ratio_lemma_check,
+    up_dn_ratio,
     vertex_degree,
 )
 from chardeg.report import FAIL, Inequality
@@ -146,24 +152,46 @@ class TestRatioLemma:
         for n in range(1, 26):
             assert ratio_lemma_check(n).passed
 
-    def test_table_paths_equal_build_graph(self):
-        # the ratio lemma walks its paths from the tops among the degree
-        # table's keys, in the table's order
+    def test_facts_equal_build_graph(self):
+        # the pass counts the interior vertices of the move paths and records
+        # their ends, grouped by degree
         for n in range(1, 26):
-            assert set(graph._paths(degree_table(n))) == set(build_graph(n).components)
+            facts = spectrum.move_facts(n)
+            components = build_graph(n).components
+            assert facts.interior == sum(max(len(c) - 2, 0) for c in components), n
+            ends = {}
+            for c in components:
+                for lam in dict.fromkeys((c[0], c[-1])):
+                    ends.setdefault(degree_sn(lam), []).append(lam)
+            assert {d: sorted(v) for d, v in facts.low.items()} == \
+                {d: sorted(v) for d, v in ends.items()}, n
 
-    @pytest.mark.parametrize("dropped", [0, -1])
-    def test_raises_when_the_walk_misses_a_path(self, monkeypatch, dropped):
-        paths_of = graph._paths
+    def test_hook_form_ratio(self):
+        # conjugation swaps the two moves, so λ and λ' share the ratio and
+        # the vertex degree that the pass records for both
+        for n in range(1, 21):
+            for lam in enumerate_partitions(n):
+                conj = conjugate(lam)
+                assert vertex_degree(lam) == vertex_degree(conj), lam
+                ratio = up_dn_ratio(lam)
+                if ratio is not None:
+                    terms = spectrum._ratio_terms(lam, hook_lengths(lam, conj))
+                    assert Fraction(*terms) == ratio == up_dn_ratio(conj), lam
 
-        def missing_one(partitions):
-            paths = list(paths_of(partitions))
-            del paths[dropped]
-            return iter(paths)
-
-        monkeypatch.setattr(graph, "_paths", missing_one)
-        with pytest.raises(ArithmeticError, match="cover"):
-            ratio_lemma_check(12)
+    @pytest.mark.parametrize("dropped", ["low", "interior"])
+    def test_raises_when_the_facts_miss_a_partition(self, monkeypatch, dropped):
+        real = spectrum.move_facts(12)
+        low = {d: list(members) for d, members in real.low.items()}
+        interior = real.interior
+        if dropped == "low":
+            low[min(low)].pop()
+        else:
+            interior -= 1
+        facts = spectrum.MoveFacts(interior, list(real.violations), low)
+        monkeypatch.setattr(spectrum, "move_facts", lambda n: facts)
+        for check in (ratio_lemma_check, low_degree_count_check_all):
+            with pytest.raises(ArithmeticError, match="cover 76 of 77 partitions"):
+                check(12)
 
 
 class TestCountChecks:

@@ -71,6 +71,13 @@ class TestVerifyFailsFromData:
     code 1, a FAIL line, and every report consistent with at least one
     recorded inequality."""
 
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        # the made-up data must not be read from, or left in, the store
+        spectrum.clear_spectrum_cache()
+        yield
+        spectrum.clear_spectrum_cache()
+
     def assert_fails(self, capsys, monkeypatch, name, n):
         reports = record_reports(monkeypatch, name)
         code = cli.main(["verify", "--n", str(n), "--checks", name])
@@ -93,13 +100,40 @@ class TestVerifyFailsFromData:
         self.assert_fails(capsys, monkeypatch, "sandwich", 8)
 
     def test_ratio_lemma(self, capsys, monkeypatch):
-        # (2,1^10) lies between (3,1^9) and (1^12) on one move path; with the
-        # degrees of (1^12) and (2,1^10) swapped its ratio leaves (1, 4)
-        table = dict(degree_table(12))
-        ones, hook = (1,) * 12, (2,) + (1,) * 10
-        table[ones], table[hook] = table[hook], table[ones]
-        monkeypatch.setattr(spectrum, "degree_table", lambda n: table)
+        # the hooks of (11,1), 12 10 9 ... 2 1 | 1, listed in reverse keep
+        # their product, so its degree, but put a hook 1 in the first row:
+        # the ratio of (11,1) and (2,1^10) drops to 0
+        real = spectrum.hook_lengths
+
+        def reversed_for_one(parts, conj=None):
+            hooks = real(parts, conj)
+            return hooks[::-1] if parts == (11, 1) else hooks
+
+        monkeypatch.setattr(spectrum, "hook_lengths", reversed_for_one)
         self.assert_fails(capsys, monkeypatch, "ratio-lemma", 12)
+
+    def test_count_lemmas(self, capsys, monkeypatch):
+        # the maximizer of a made-up S_8 has fewer than two move neighbours;
+        # the facts cover all p(8) = 22 partitions
+        serve_spectra(monkeypatch, 8, [(180, 1, ((8,),)), (10, 21, ())], b_a=180)
+        facts = spectrum.MoveFacts(20, [], {180: [(8,)], 10: [(1,) * 8]})
+        monkeypatch.setattr(spectrum, "move_facts", lambda n: facts)
+        self.assert_fails(capsys, monkeypatch, "count-lemmas", 8)
+
+    def test_move_scan(self, capsys, monkeypatch):
+        # every move of the maximizer has degree 1, and the tail is light, so
+        # both scans miss and both fallback theorems fail
+        serve_spectra(monkeypatch, 8, [(180, 1, ((4, 3, 1),)), (10, 78, ())], b_a=180)
+        monkeypatch.setattr(spectrum, "degree_sn", lambda parts: 1)
+        self.assert_fails(capsys, monkeypatch, "move-scan", 8)
+
+    def test_induced_bound(self, capsys, monkeypatch):
+        # n = 50 with one maximizer activates the symmetric hypotheses, and
+        # its moves of degree 1 carry far less than twice the squared top
+        top = (10, 9, 8, 7, 6, 5, 3, 2)
+        serve_spectra(monkeypatch, 50, [(10**30, 1, (top,)), (10**29, 5, ())], b_a=10**30)
+        monkeypatch.setattr(spectrum, "degree_sn", lambda parts: 1)
+        self.assert_fails(capsys, monkeypatch, "induced-bound", 50)
 
 
 class TestSpectrumSn:
@@ -229,9 +263,9 @@ class TestDegreeTable:
 
         def broken(parts, conj=None):
             during.append(gc.isenabled())
-            raise ArithmeticError("hook product failed")
+            raise ArithmeticError("hook lengths failed")
 
-        monkeypatch.setattr(spectrum, "hook_product", broken)
+        monkeypatch.setattr(spectrum, "hook_lengths", broken)
         spectrum.clear_spectrum_cache()
         for build in SEQUENTIAL_BUILDS:
             assert gc.isenabled()
@@ -278,9 +312,10 @@ class TestMembersDescending:
         for n in range(2, 23):
             classes = spectrum._pair_shard(n, range(n, 0, -1), "SA", True)
             for group, build in (("S", spectrum_sn), ("A", spectrum_an)):
-                for _size, kept in classes[group].values():
+                chars, members = classes[group]
+                for kept in members.values():
                     kept.reverse()
-                assert spectrum._spectrum(n, group, classes[group]) == build(n)
+                assert spectrum._spectrum(n, group, chars, members) == build(n)
 
 
 class TestPoolSize:
