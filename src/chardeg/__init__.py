@@ -57,7 +57,6 @@ from .spectrum import (
     branch_decompose,
     cached_spectrum,
     clear_spectrum_cache,
-    degree_table,
     epsilon,
     epsilon_lower_bounds,
     induced_bound_check,

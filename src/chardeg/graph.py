@@ -97,10 +97,11 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     hook-ratio products in the bound are empty; that documented boundary is
     reported, not failed.
 
-    The bounds are compared in integers by the store's pass, which keeps
+    The bounds are compared in integers by the store's walk, which keeps
     each violation with its ratio as a Fraction; a FAIL lists the first ten
-    violations in pass order.  The pass must cover every partition of n
-    (see ``_move_facts``).
+    violations in descending order of their conjugate-pair representative,
+    λ before λ', as a lexicographic pass over the partitions meets them.
+    The walk must cover every partition of n (see ``_move_facts``).
     """
     facts = _move_facts(n)
     violations = facts.violations
@@ -142,7 +143,7 @@ def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
 
 def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[Partition]]]:
     """Per class, the number of its partitions with fewer than two move
-    neighbours, and those partitions in pass order for the classes that
+    neighbours, and those partitions in walk order for the classes that
     have any; a report samples the three largest."""
     index_of = {d: i for i, d in enumerate(degrees)}
     members = {index_of[d]: lams for d, lams in _move_facts(n).low.items()}

@@ -16,16 +16,15 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial, prod
+from operator import add
 
 from .exact import decimal_str, induction_bound
-from .hooks import degree_sn, hook_lengths, hook_product
+from .hooks import degree_sn, hook_product
 from .partitions import (
     Partition,
     conjugate,
     count_partitions,
-    enumerate_partitions,
     format_partition,
     is_self_conjugate,
     iter_moves,
@@ -150,130 +149,168 @@ class _Classes:
 
     ``chars`` maps a degree to its number of characters, and ``members`` a
     degree to its list of partitions.  A degree that drops out of the top
-    two loses its members at once.
+    two loses its members at once; ``floor`` is then the smaller of the two,
+    and a new degree below it keeps none.
     """
 
-    __slots__ = ("chars", "members", "all_members")
+    __slots__ = ("chars", "members", "all_members", "floor")
 
     def __init__(self, all_members: bool):
         self.chars: dict[int, int] = {}
         self.members: dict[int, list[Partition]] = {}
         self.all_members = all_members
+        self.floor = 0
 
-    def add(self, degree: int, chars: int, members) -> None:
+    def add(self, degree: int, chars: int) -> list[Partition] | None:
+        """Count ``chars`` more characters of ``degree``; return the list
+        that takes their members when the degree keeps its members, else
+        None, so a caller builds members only where they are kept."""
         if degree in self.chars:
             self.chars[degree] += chars
-            kept = self.members.get(degree)
-            if kept is not None:
-                kept.extend(members)
-            return
+            return self.members.get(degree)
         self.chars[degree] = chars
+        if degree < self.floor:
+            return None
         held = self.members
-        if not self.all_members and len(held) == 2:
-            low = min(held)
-            if degree < low:
-                return
-            del held[low]
-        held[degree] = list(members)
+        kept = held[degree] = []
+        if not self.all_members and len(held) >= 2:
+            if len(held) == 3:
+                del held[self.floor]
+            self.floor = min(held)
+        return kept
 
 
-def _ratio_terms(lam: Partition, hooks: list[int]) -> tuple[int, int]:
-    """(4·∏(h²−1), ∏h²) over λ's first-row hooks h_1j, 2 <= j <= λ_1 − 1, and
-    its first-column hooks h_i1, 2 <= i <= ℓ − 1, given λ's hook lengths
-    row by row.  When λ has both moves their quotient is
-    H(λ_dn)·H(λ_up)/H(λ)²: neither move changes a hook off the first row
-    and column.  At (2, 1) both products are empty and it is 4."""
-    picked = hooks[1:lam[0] - 1]
-    picked += map(hooks.__getitem__, accumulate(lam[:len(lam) - 2]))  # starts of rows 2..ℓ-1
-    return 4 * prod([h * h - 1 for h in picked]), prod(picked) ** 2
+def _ratio_terms(
+    f: int, mu: Partition, hooks: list[int], column: tuple[int, int], fact: list[int]
+) -> tuple[int, int]:
+    """(4·∏(h²−1), ∏h²) over the first-row hooks h_1j, 2 <= j <= f − 1, and
+    the first-column hooks h_i1, 2 <= i <= ℓ − 1, of λ = (f, μ).  When λ has
+    both moves their quotient is H(λ_dn)·H(λ_up)/H(λ)²: neither move changes
+    a hook off the first row and column.  At (2, 1) both products are empty
+    and it is 4.  ``hooks`` are the first-row hooks over the columns of μ_1,
+    ``column`` holds (∏(h²−1), ∏h) over the first-column hooks, and the
+    remaining first-row hooks t = f − μ_1, ..., 2 give (t−1)!·(t+1)!/2 and t!.
+    """
+    t = f - len(hooks)
+    picked = hooks[1:]
+    top = 2 * prod([h * h - 1 for h in picked]) * column[0] * fact[t - 1] * fact[t + 1]
+    return top, (prod(picked) * column[1] * fact[t]) ** 2
 
 
 @dataclass(slots=True)
 class MoveFacts:
     """What ratio-lemma and count-lemmas read of the partitions of n, folded
-    into the store's pass: how many partitions have both moves; those among
+    into the store's walk: how many partitions have both moves; those among
     them whose ratio H(λ_dn)·H(λ_up)/H(λ)² lies outside (1, 4), with that
-    ratio, in pass order; and per degree the partitions with fewer than two
-    move neighbours."""
+    ratio, in descending order of their conjugate-pair representative, λ
+    before λ′; and per degree the partitions with fewer than two move
+    neighbours.  Conjugation swaps λ_up and λ_dn, so λ′ has as many move
+    neighbours as λ and the same ratio."""
 
     interior: int = 0
     violations: list[tuple[Partition, Fraction]] = field(default_factory=list)
     low: dict[int, list[Partition]] = field(default_factory=dict)
 
-    def add(self, lam: Partition, conj: Partition, hooks: list[int], degree: int) -> None:
-        """Fold in λ and its conjugate, given λ's hook lengths row by row.
-        Conjugation swaps λ_up and λ_dn, so λ′ has as many move neighbours
-        as λ and the same ratio."""
-        pair = (lam,) if lam == conj else (lam, conj)
-        if len(lam) >= 2 and lam[-1] == 1 and lam[0] > lam[1]:
-            self.interior += len(pair)
-            top, bottom = _ratio_terms(lam, hooks)
-            if not bottom < top < 4 * bottom:
-                ratio = Fraction(top, bottom)
-                self.violations.extend((v, ratio) for v in pair)
-        else:
-            self.low.setdefault(degree, []).extend(pair)
-
 
 def _pair_shard(
-    n: int, first_parts, groups: str, all_members: bool,
-    table: dict | None = None, facts: MoveFacts | None = None,
+    n: int, ones, groups: str, all_members: bool, facts: MoveFacts | None = None,
 ) -> dict[str, tuple[dict[int, int], dict[int, list[Partition]]]]:
-    """Degrees over the partitions of n whose largest part is in
-    ``first_parts``, walked in the order given.
+    """Degrees over the conjugate-pair representatives λ = (f, μ) of n whose
+    rows under the first, μ, end in exactly t parts 1, for each t in ``ones``.
 
-    Visits one representative per conjugate pair: λ is skipped when it has
-    more parts than its first part, because its conjugate, which has a
-    larger first part, stands for the pair; on a tie λ is kept when
-    λ >= λ'.  Each representative costs one conjugate, one list of hook
-    lengths and one exact division, since conjugates share the hook
-    product.
+    λ has at most f rows, and on a tie, ℓ = f, it is kept when λ >= λ′.  The
+    walk builds each μ ⊢ m bottom-up from 1^t, adding rows of at least 2 and
+    of at least the row below, and the node μ is the leaf (n − m, μ).  A row
+    r is added only when a first part can still complete the suffix,
+    n − m − r >= r and ℓ(μ) + 2 <= n − m − r, so each representative is one
+    leaf and shards share no node.  A top row r changes no hook below it, so
+    a node carries H(μ) up from its parent, H((r, μ)) = H(μ)·∏_{c<r}
+    (r − c + μ′_c), the last r − μ_1 factors being (r − μ_1)!, and a leaf's
+    degree is one exact division n!/H(λ).
 
     Returns group -> (``_Classes.chars``, ``_Classes.members``) for each
     group in ``groups``.  In the symmetric group a pair counts twice and
     both partitions are members, λ before λ'; in the alternating group a
     self-conjugate representative splits into two characters of half the
-    degree.  With ``table`` given, both partitions of every pair are
-    entered in it with their symmetric-group degree; with ``facts`` given,
-    both are folded into it.
+    degree.  λ and λ′ are built only on a tie, or where a class or
+    ``facts``, into which both are folded, keeps them.
     """
-    fact = factorial(n)
+    fact = [1]
+    for k in range(1, n + 2):
+        fact.append(fact[-1] * k)
+    steps = range(1, n + 1)
     sym = _Classes(all_members) if "S" in groups else None
     alt = _Classes(all_members) if "A" in groups else None
-    partitions = (
-        (first,) + rest
-        for first in first_parts
-        for rest in enumerate_partitions(n - first, max_part=first)
-    )
-    for lam in partitions:
-        rows = len(lam)
-        if rows > lam[0]:
-            continue
-        conj = conjugate(lam)
-        if rows == lam[0] and lam < conj:
-            continue
-        hooks = hook_lengths(lam, conj)
-        d, rem = divmod(fact, prod(hooks))
+    interior = 0
+    violations = []
+
+    def walk(mu: Partition, q: list[int], h_mu: int, m: int, column: tuple[int, int]) -> None:
+        # q[c] = μ′_c − c for c < μ_1, so the hooks of a row r on top are r + q[c];
+        # column is (∏(h²−1), ∏h) over the first hooks of the rows above μ's bottom row
+        nonlocal interior
+        f = n - m
+        rows = len(mu)
+        width = len(q)
+        hooks = [f + x for x in q]
+        d, rem = divmod(fact[n], h_mu * prod(hooks) * fact[f - width])
         if rem:
-            raise ArithmeticError(f"hook product does not divide {n}! for {lam}")
-        if table is not None:
-            table[lam] = d
-            table[conj] = d
+            raise ArithmeticError(f"hook product does not divide {n}! for {(f,) + mu}")
+        lam = None
+        if rows + 1 == f:  # a tie: no row fits above it, so the node has no child
+            lam, conj = (f,) + mu, tuple(map(add, q, steps)) + (1,) * (f - width)
+            if lam < conj:
+                return
+        split = lam is not None and lam == conj  # self-conjugate, so split in A_n
+        kept_s = kept_a = low = ratio = None
+        if sym is not None:
+            kept_s = sym.add(d, 2 - split)
+        if alt is not None:
+            d_a, odd = divmod(d, 2) if split else (d, 0)
+            if odd:
+                raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
+            kept_a = alt.add(d_a, 1 + split)
         if facts is not None:
-            facts.add(lam, conj, hooks, d)
-        if lam == conj:
-            if sym is not None:
-                sym.add(d, 1, (lam,))
-            if alt is not None:
-                half, odd = divmod(d, 2)
-                if odd:
-                    raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
-                alt.add(half, 2, (lam,))
-        else:
-            if sym is not None:
-                sym.add(d, 2, (lam, conj))
-            if alt is not None:
-                alt.add(d, 1, (lam,))
+            if rows and mu[-1] == 1 and f > width:
+                interior += 2 - split
+                top, bottom = _ratio_terms(f, mu, hooks, column, fact)
+                if not bottom < top < 4 * bottom:
+                    ratio = Fraction(top, bottom)
+            else:
+                low = facts.low.setdefault(d, [])
+        if kept_s is not None or kept_a is not None or low is not None or ratio is not None:
+            if lam is None:
+                lam, conj = (f,) + mu, tuple(map(add, q, steps)) + (1,) * (f - width)
+            pair = (lam,) if split else (lam, conj)
+            if kept_s is not None:
+                kept_s += pair
+            if kept_a is not None:
+                kept_a.append(lam)
+            if low is not None:
+                low += pair
+            if ratio is not None:
+                violations.append((lam, pair, ratio))
+        lo = max(width, 2)
+        hi = min(f // 2, f - rows - 2)
+        if lo > hi:
+            return
+        raised = [x + 1 for x in q]  # (r, μ)′_c − c, then 1 − c for width <= c < r
+        new_cols = list(range(1 - width, 1 - hi, -1))
+        for r in range(lo, hi + 1):
+            hooks = [r + x for x in q]
+            above = column
+            if rows:
+                h = hooks[0]  # the new row's first hook, r + ℓ(μ)
+                above = (column[0] * (h * h - 1), column[1] * h)
+            walk((r,) + mu, raised + new_cols[:r - width],
+                 h_mu * prod(hooks) * fact[r - width], m + r, above)
+
+    for t in ones:  # 1^t: μ′ = (t,), and the first hooks above its bottom row are t, ..., 2
+        column = (fact[t - 1] * fact[t + 1] // 2, fact[t]) if t else (1, 1)
+        walk((1,) * t, [t] if t else [], fact[t], t, column)
+    if facts is not None:
+        facts.interior += interior
+        violations.sort(key=lambda v: v[0], reverse=True)
+        facts.violations += [(v, ratio) for _lam, pair, ratio in violations for v in pair]
     return {g: (c.chars, c.members) for g, c in (("S", sym), ("A", alt)) if c is not None}
 
 
@@ -299,16 +336,16 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
 
 
 def _build(
-    n: int, groups: str, all_members: bool, threads: int = 1,
-    table: dict | None = None, facts: MoveFacts | None = None,
+    n: int, groups: str, all_members: bool, threads: int = 1, facts: MoveFacts | None = None,
 ) -> dict[str, DegreeSpectrum]:
     """The spectra of n for each group in ``groups``, from a process pool
-    sharded by largest part above MEMBER_CAP with two or more workers, else
-    from one sequential pass that also fills ``table`` and ``facts`` when
-    given.  Classes keep every member with ``all_members``, else only those
-    of the top two classes.  The pass allocates no reference cycles, so the
-    cyclic garbage collector is paused while it runs."""
-    workers = pool_size(threads, n, os.cpu_count())
+    sharded by the number of parts equal to 1 above MEMBER_CAP with two or
+    more workers, else from one sequential walk that also fills ``facts``
+    when given.  Classes keep every member with ``all_members``, else only
+    those of the top two classes.  The walk allocates no reference cycles,
+    so the cyclic garbage collector is paused while it runs."""
+    ones = range((n + 1) // 2)  # 1^t needs a first part of at least t + 1
+    workers = pool_size(threads, len(ones), os.cpu_count())
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -317,16 +354,18 @@ def _build(
             # global top two; shards are merged, and dropped, as they arrive
             merged = {g: _Classes(all_members) for g in groups}
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                shards = pool.map(_pair_shard, [n] * n, [(f,) for f in range(n, 0, -1)],
-                                  [groups] * n, [all_members] * n)
+                shards = pool.map(_pair_shard, [n] * len(ones), [(t,) for t in ones],
+                                  [groups] * len(ones), [all_members] * len(ones))
                 for shard in shards:
                     for g in groups:
                         chars, members = shard[g]
                         for deg, k in chars.items():
-                            merged[g].add(deg, k, members.get(deg, ()))
+                            kept = merged[g].add(deg, k)
+                            if kept is not None:
+                                kept += members.get(deg, ())
             classes = {g: (c.chars, c.members) for g, c in merged.items()}
         else:
-            classes = _pair_shard(n, range(n, 0, -1), groups, all_members, table, facts)
+            classes = _pair_shard(n, ones, groups, all_members, facts)
         return {g: _spectrum(n, g, *classes[g]) for g in groups}
     finally:
         if gc_was_enabled:
@@ -389,55 +428,40 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     return True
 
 
-# the current n's spectra and, when they were asked for, its degree table and
-# move facts; replaced when another n is built
-_store: tuple[int, dict[Partition, int] | None, MoveFacts | None,
-              dict[str, DegreeSpectrum]] | None = None
+# the current n's spectra and, when they were asked for, its move facts;
+# replaced when another n is built
+_store: tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]] | None = None
 
 
-def _current(
-    n: int, table: bool = False, facts: bool = False
-) -> tuple[int, dict[Partition, int] | None, MoveFacts | None, dict[str, DegreeSpectrum]]:
-    """The store for n, built by one sequential pass over the conjugate-pair
-    representatives unless it already holds n, with its table when
-    ``table`` and its move facts when ``facts``."""
+def _current(n: int, facts: bool = False) -> tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]]:
+    """The store for n, built by one sequential walk over the conjugate-pair
+    representatives unless it already holds n, with its move facts when
+    ``facts``."""
     global _store
     held = _store if _store is not None and _store[0] == n else None
-    if held is None or (table and held[1] is None) or (facts and held[2] is None):
+    if held is None or (facts and held[1] is None):
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
-        degrees: dict[Partition, int] | None = {} if table else None
         moves = MoveFacts() if facts else None
-        _store = (n, degrees, moves,
-                  _build(n, "SA" if n >= 2 else "S", False, table=degrees, facts=moves))
+        _store = (n, moves, _build(n, "SA" if n >= 2 else "S", False, facts=moves))
     return _store
-
-
-def degree_table(n: int) -> dict[Partition, int]:
-    """Partition -> exact symmetric-group degree, for every partition of n,
-    filled by the store's pass.  No command asks for it; the move scans
-    read their move degrees from it while it is held.
-
-    Only the most recent n is held, together with its S_n and A_n spectra;
-    asking for another n, or for the table of an n whose spectra were built
-    without it, rebuilds.
-    """
-    return _current(n, table=True)[1]
 
 
 def move_facts(n: int) -> MoveFacts:
     """The move facts of every partition of n, which ratio-lemma and
-    count-lemmas read, folded into the store's pass; held and rebuilt like
-    ``degree_table``."""
-    return _current(n, facts=True)[2]
+    count-lemmas read, folded into the store's walk.  Only the most recent n
+    is held, together with its S_n and A_n spectra; asking for another n,
+    or for the facts of an n whose spectra were built without them,
+    rebuilds."""
+    return _current(n, facts=True)[1]
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
     """Sequentially computed spectrum, from the same store as ``move_facts``;
     at every n only its top two classes keep their members.  A first call
-    for n builds the spectra without a table or move facts."""
+    for n builds the spectra without move facts."""
     _check_n(n, 2 if group == "A" else 1, DEFAULT_MAX_N)
-    return _current(n)[3][group]
+    return _current(n)[2][group]
 
 
 def clear_spectrum_cache() -> None:
@@ -548,12 +572,8 @@ def branch_decompose(parts: Partition) -> BranchDecomposition:
 
 
 def _scan_degrees(parts: Partition) -> dict[Partition, int]:
-    """Exact degrees of every single-node move of ``parts``: read from the
-    store's table when it holds one for this n, else from the hook formula."""
-    n = sum(parts)
-    table = _store[1] if _store is not None and _store[0] == n else None
-    degree = degree_sn if table is None else table.__getitem__
-    return {moved: degree(moved) for _i, _j, moved in iter_moves(parts)}
+    """Exact degrees of every single-node move of ``parts``."""
+    return {moved: degree_sn(moved) for _i, _j, moved in iter_moves(parts)}
 
 
 def _move_mass(members, below: int, target, label: str) -> list[Inequality]:

@@ -2,11 +2,21 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from chardeg import cli, conjugate, count_partitions, enumerate_partitions, spectrum
+import chardeg
+from chardeg import (
+    cli,
+    conjugate,
+    count_partitions,
+    enumerate_partitions,
+    graph,
+    partitions,
+    spectrum,
+)
 from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
 from chardeg.partitions import parse_partition
 from chardeg.serialize import json_text, spectrum_json, spectrum_to_doc
@@ -708,18 +718,24 @@ class TestVerifyCmd:
         assert json.loads(out)["reports"] == joined
 
     @staticmethod
-    def hook_lists(capsys, monkeypatch, checks):
-        """The partitions whose hook lengths the pass takes over a
-        ``verify --range 5..12`` run of ``checks``, and the
-        conjugate-pair representatives of those n."""
-        calls = []
-        real = spectrum.hook_lengths
+    def walks(capsys, monkeypatch, checks):
+        """The store's walks over a ``verify --range 5..12`` run of
+        ``checks``, as (n, shards, leaves per group's classes), and the
+        number of conjugate-pair representatives of each n."""
+        walks = []
+        real_walk = spectrum._pair_shard
+        real_add = spectrum._Classes.add
 
-        def counted(parts, conj=None):
-            calls.append(parts)
-            return real(parts, conj)
+        def walk(n, ones, groups, all_members, facts=None):
+            walks.append((n, list(ones), Counter()))
+            return real_walk(n, ones, groups, all_members, facts)
 
-        monkeypatch.setattr(spectrum, "hook_lengths", counted)
+        def add(self, degree, chars):
+            walks[-1][2][id(self)] += 1  # one call per leaf and group
+            return real_add(self, degree, chars)
+
+        monkeypatch.setattr(spectrum, "_pair_shard", walk)
+        monkeypatch.setattr(spectrum._Classes, "add", add)
         # an empty store, so every n of the run is built here
         spectrum.clear_spectrum_cache()
         try:
@@ -727,31 +743,33 @@ class TestVerifyCmd:
         finally:
             spectrum.clear_spectrum_cache()
         assert code == 0
-        representatives = {
-            lam for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
-        }
-        return calls, representatives
+        representatives = Counter(
+            n for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
+        )
+        return [(n, ones, sorted(leaves.values())) for n, ones, leaves in walks], representatives
 
     def test_one_hook_product_per_conjugate_pair(self, capsys, monkeypatch):
-        # the pass takes one list of hook lengths per representative, and
-        # its product; the move scans take their degrees from degree_sn
-        calls, representatives = self.hook_lists(capsys, monkeypatch, "all")
-        assert len(calls) == len(set(calls)) == len(representatives)
-        assert set(calls) == representatives
+        # one walk per n over all its shards, whose leaves, one hook product
+        # each, are the representatives; the move scans take their degrees
+        # from degree_sn
+        walks, representatives = self.walks(capsys, monkeypatch, "all")
+        assert walks == [(n, list(range((n + 1) // 2)), [representatives[n]] * 2)
+                         for n in range(5, 13)]
 
     @pytest.mark.parametrize("name", list(cli.CHECKS))
     def test_one_pass_per_n_after_a_theorem(self, capsys, monkeypatch, name):
         # a check that reads the move facts, run after one that does not,
-        # still finds them in the n's one pass
-        calls, representatives = self.hook_lists(capsys, monkeypatch, f"theorem1,{name}")
-        assert sorted(calls) == sorted(representatives)
+        # still finds them in the n's one walk
+        walks, representatives = self.walks(capsys, monkeypatch, f"theorem1,{name}")
+        assert [(n, leaves) for n, _ones, leaves in walks] == \
+            [(n, [representatives[n]] * 2) for n in range(5, 13)]
 
     def test_store_holds_only_the_last_n(self, capsys, monkeypatch):
         spectrum.clear_spectrum_cache()
         code, _, _ = run(capsys, "verify", "--range", "5..8", "--checks", "all")
         assert code == 0
-        n, table, facts, spectra = spectrum._store
-        assert n == 8 and table is None
+        n, facts, spectra = spectrum._store
+        assert n == 8
         low = [lam for members in facts.low.values() for lam in members]
         assert {sum(lam) for lam in low} == {8}
         assert facts.interior + len(low) == count_partitions(8)
@@ -914,8 +932,9 @@ TABLE_FREE_RUNS = [
 
 @pytest.mark.parametrize("argv", TABLE_FREE_RUNS)
 def test_runs_build_no_degree_table(capsys, monkeypatch, tmp_path, argv):
-    # every CHECKS row, all of them together, and scan, run with the table
-    # builder broken, give the same bytes and leave no table stored
+    # every CHECKS row, all of them together, and scan give the same bytes
+    # with partition enumeration broken everywhere and conjugation broken in
+    # the store: no run lists the partitions of n, as a degree table would
     out_file = tmp_path / "scan.csv"
     if argv[0] == "scan":
         argv += ("--out", str(out_file))
@@ -928,12 +947,13 @@ def test_runs_build_no_degree_table(capsys, monkeypatch, tmp_path, argv):
 
     expected = outputs()
 
-    def no_table(n):
-        raise AssertionError("the degree table was built")
+    def broken(*args, **kwargs):
+        raise AssertionError("a run listed or conjugated partitions")
 
-    monkeypatch.setattr(spectrum, "degree_table", no_table)
+    for module in (chardeg, partitions, graph):
+        monkeypatch.setattr(module, "enumerate_partitions", broken)
+    monkeypatch.setattr(spectrum, "conjugate", broken)
     assert outputs() == expected and expected[0] == 0
-    assert spectrum._store[1] is None
 
 
 REMOVED_FLAGS = [

@@ -11,7 +11,6 @@ from chardeg import (
     count_partitions,
     degree_sn,
     enumerate_partitions,
-    hook_lengths,
     lambda_dn,
     lambda_up,
     low_degree_count_check,
@@ -25,7 +24,7 @@ from chardeg import (
 )
 from chardeg.report import FAIL, Inequality
 from chardeg.serialize import graph_from_doc, graph_to_doc, graph_to_dot
-from chardeg.spectrum import DegreeClass, DegreeSpectrum, degree_table
+from chardeg.spectrum import DegreeClass, DegreeSpectrum
 
 
 def union_find_components(n):
@@ -127,7 +126,7 @@ class TestStructureChecks:
         # path meets a degree class more than twice
         ties = {}
         for n in range(1, 26):
-            table = degree_table(n)
+            table = {lam: degree_sn(lam) for lam in enumerate_partitions(n)}
             for comp in build_graph(n).components:
                 ds = [table[v] for v in comp]
                 hits = {}
@@ -166,17 +165,32 @@ class TestRatioLemma:
             assert {d: sorted(v) for d, v in facts.low.items()} == \
                 {d: sorted(v) for d, v in ends.items()}, n
 
-    def test_hook_form_ratio(self):
-        # conjugation swaps the two moves, so λ and λ' share the ratio and
-        # the vertex degree that the pass records for both
+    def test_hook_form_ratio(self, monkeypatch):
+        # the walk computes the ratio at each representative with both moves
+        # from its first-row and first-column hooks; conjugation swaps the
+        # two moves, so λ and λ' share the ratio and the vertex degree that
+        # the walk records for both
+        seen = {}
+        real = spectrum._ratio_terms
+
+        def recorded(f, mu, hooks, column, fact):
+            terms = real(f, mu, hooks, column, fact)
+            seen[(f, *mu)] = Fraction(*terms)
+            return terms
+
+        monkeypatch.setattr(spectrum, "_ratio_terms", recorded)
         for n in range(1, 21):
+            seen.clear()
+            spectrum._pair_shard(n, range((n + 1) // 2), "S", False, spectrum.MoveFacts())
+            interior = set()
             for lam in enumerate_partitions(n):
                 conj = conjugate(lam)
                 assert vertex_degree(lam) == vertex_degree(conj), lam
                 ratio = up_dn_ratio(lam)
-                if ratio is not None:
-                    terms = spectrum._ratio_terms(lam, hook_lengths(lam, conj))
-                    assert Fraction(*terms) == ratio == up_dn_ratio(conj), lam
+                if ratio is not None and lam >= conj:
+                    interior.add(lam)
+                    assert seen[lam] == ratio == up_dn_ratio(conj), lam
+            assert set(seen) == interior, n
 
     @pytest.mark.parametrize("dropped", ["low", "interior"])
     def test_raises_when_the_facts_miss_a_partition(self, monkeypatch, dropped):

@@ -1,10 +1,11 @@
 """Spectra, the dominance theorems, branching, scans, and the excess bounds."""
 
 import gc
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -17,14 +18,18 @@ from chardeg import (
     enumerate_partitions,
     epsilon,
     epsilon_lower_bounds,
+    format_partition,
+    hook_product,
     induced_bound_check,
     move_scan_verify,
     sandwich_check,
     spectrum_an,
     spectrum_sn,
     spectrum_xy,
+    up_dn_ratio,
     verify_theorem1,
     verify_theorem2,
+    vertex_degree,
 )
 from chardeg import cli, spectrum
 from chardeg.exact import induction_bound
@@ -35,7 +40,7 @@ from chardeg.spectrum import (
     DegreeSpectrum,
     check_invariants,
     complete,
-    degree_table,
+    move_facts,
     pool_size,
     splits,
 )
@@ -100,16 +105,15 @@ class TestVerifyFailsFromData:
         self.assert_fails(capsys, monkeypatch, "sandwich", 8)
 
     def test_ratio_lemma(self, capsys, monkeypatch):
-        # the hooks of (11,1), 12 10 9 ... 2 1 | 1, listed in reverse keep
-        # their product, so its degree, but put a hook 1 in the first row:
-        # the ratio of (11,1) and (2,1^10) drops to 0
-        real = spectrum.hook_lengths
+        # made-up hooks for (11,1) with a first-row hook 1, which makes
+        # ∏(h²−1), and so the ratio of (11,1) and (2,1^10), 0
+        real = spectrum._ratio_terms
 
-        def reversed_for_one(parts, conj=None):
-            hooks = real(parts, conj)
-            return hooks[::-1] if parts == (11, 1) else hooks
+        def zero_for_one(f, mu, hooks, column, fact):
+            top, bottom = real(f, mu, hooks, column, fact)
+            return (0, bottom) if (f, *mu) == (11, 1) else (top, bottom)
 
-        monkeypatch.setattr(spectrum, "hook_lengths", reversed_for_one)
+        monkeypatch.setattr(spectrum, "_ratio_terms", zero_for_one)
         self.assert_fails(capsys, monkeypatch, "ratio-lemma", 12)
 
     def test_count_lemmas(self, capsys, monkeypatch):
@@ -217,33 +221,37 @@ class TestSpectrumSn:
             spectrum_an(13, threads=2)
 
 
-# the store's pass and the 1-worker spectra; each pauses the collector
+# the store's walk and the 1-worker spectra; each pauses the collector
 SEQUENTIAL_BUILDS = (
-    degree_table,
+    move_facts,
     partial(spectrum_sn, threads=1),
     partial(spectrum_an, threads=1),
 )
 
 
 class TestDegreeTable:
+    """The degrees of every partition of n, as the walk computes them."""
+
     def test_degrees_against_both_oracles(self):
+        # at or below the member cap every class keeps all its members
         for n in range(1, 21):
-            table = degree_table(n)
+            spec = spectrum_sn(n)
+            table = {lam: c.degree for c in spec.classes for lam in c.members}
             assert sorted(table, reverse=True) == list(enumerate_partitions(n))
             for lam, d in table.items():
                 assert d == degree_sn(lam) == count_standard_tableaux(lam), lam
 
     def test_feeds_both_cached_spectra(self, monkeypatch):
         # the store's spectra keep only their top two classes' members, as a
-        # build above the member cap does; the table holds every partition
+        # build above the member cap does
         for n in (2, 9, 16):
             with monkeypatch.context() as m:
                 m.setattr(spectrum, "MEMBER_CAP", n - 1)
                 capped = {"S": spectrum_sn(n), "A": spectrum_an(n)}
-            table = degree_table(n)
             for group in ("S", "A"):
                 assert cached_spectrum(group, n) == capped[group]
-            assert Counter(table.values()) == {c.degree: c.size for c in capped["S"].classes}
+            degrees = Counter(degree_sn(lam) for lam in enumerate_partitions(n))
+            assert degrees == {c.degree: c.size for c in capped["S"].classes}
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_leaves_gc_state_as_found(self, enabled):
@@ -261,27 +269,153 @@ class TestDegreeTable:
     def test_restores_gc_when_the_pass_raises(self, monkeypatch):
         during = []
 
-        def broken(parts, conj=None):
+        def broken(*args, **kwargs):
             during.append(gc.isenabled())
-            raise ArithmeticError("hook lengths failed")
+            raise ArithmeticError("the walk failed")
 
-        monkeypatch.setattr(spectrum, "hook_lengths", broken)
+        monkeypatch.setattr(spectrum, "_pair_shard", broken)
         spectrum.clear_spectrum_cache()
         for build in SEQUENTIAL_BUILDS:
             assert gc.isenabled()
             with pytest.raises(ArithmeticError):
                 build(12)
             assert gc.isenabled(), build
-        assert during == [False] * len(SEQUENTIAL_BUILDS)  # each pass ran paused
+        assert during == [False] * len(SEQUENTIAL_BUILDS)  # each walk ran paused
         assert spectrum._store is None
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            degree_table(0)
+            move_facts(0)
         with pytest.raises(ValueError):
-            degree_table(61)
+            move_facts(61)
         with pytest.raises(ValueError):
             cached_spectrum("A", 1)
+
+
+class InlinePool:
+    """Stands in for the process pool: maps the shards in this process, so
+    the pool branch of ``_build`` runs without starting a worker."""
+
+    started = 0
+
+    def __init__(self, max_workers):
+        InlinePool.started += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def representatives(n):
+    """The conjugate-pair representatives of n, λ >= λ', in lexicographic
+    order, each with its conjugate."""
+    return [(lam, conj) for lam in enumerate_partitions(n) if lam >= (conj := conjugate(lam))]
+
+
+class TestWalk:
+    """The walk over the suffix trie against references that list every
+    partition of n."""
+
+    def test_against_the_partitions_of_n(self):
+        # classes, top-two members and move facts from degree_sn,
+        # vertex_degree and up_dn_ratio over enumerate_partitions
+        for n in range(2, 31):
+            degree = {lam: degree_sn(lam) for lam in enumerate_partitions(n)}
+            s_sizes, a_sizes, a_members = Counter(degree.values()), Counter(), {}
+            violations, interior, low = [], 0, {}
+            for lam, conj in representatives(n):
+                d = degree[lam]
+                if lam == conj:
+                    d //= 2
+                a_sizes[d] += 1 + (lam == conj)
+                a_members.setdefault(d, []).append(lam)
+                ratio = up_dn_ratio(lam)
+                if ratio is not None and not 1 < ratio < 4:
+                    violations += [(v, ratio) for v in dict.fromkeys((lam, conj))]
+            for lam, d in degree.items():
+                if vertex_degree(lam) == 2:
+                    interior += 1
+                else:
+                    low.setdefault(d, []).append(lam)
+            s_spec, a_spec = cached_spectrum("S", n), cached_spectrum("A", n)
+            assert [(c.degree, c.size) for c in s_spec.classes] == sorted(s_sizes.items())[::-1]
+            assert [(c.degree, c.size) for c in a_spec.classes] == sorted(a_sizes.items())[::-1]
+            for c in s_spec.classes[:2]:
+                assert list(c.members) == sorted((lam for lam in degree
+                                                  if degree[lam] == c.degree), reverse=True)
+            for c in a_spec.classes[:2]:
+                assert list(c.members) == sorted(a_members[c.degree], reverse=True)
+            facts = move_facts(n)
+            assert (facts.interior, facts.violations) == (interior, violations), n
+            assert {d: sorted(v) for d, v in facts.low.items()} == \
+                {d: sorted(v) for d, v in low.items()}, n
+
+    def test_each_representative_is_one_leaf(self):
+        # shard t holds the representatives with t parts 1 below the first
+        # row, so the shards share no leaf and together hold each once
+        for n in range(2, 31):
+            leaves = []
+            for t in range((n + 1) // 2):
+                chars, members = spectrum._pair_shard(n, (t,), "A", True)["A"]
+                shard = [lam for kept in members.values() for lam in kept]
+                assert all(lam[1:].count(1) == t for lam in shard), (n, t)
+                leaves += shard
+            assert sorted(leaves, reverse=True) == [lam for lam, _ in representatives(n)]
+
+    def test_merged_shards_equal_the_sequential_walk(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 0)
+        monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 2)
+        InlinePool.started = 0
+        for n in range(1, 31):
+            groups = "SA" if n >= 2 else "S"
+            for all_members in (True, False):
+                assert spectrum._build(n, groups, all_members, threads=2) == \
+                    spectrum._build(n, groups, all_members), (n, all_members)
+        assert InlinePool.started == 2 * 28  # one pool per build from n = 3
+
+    def test_pool_at_50_equals_one_worker(self):
+        for build in (spectrum_sn, spectrum_an):
+            assert build(50, threads=2) == build(50, threads=1)
+
+    def test_top_row_identity(self):
+        # a top row r changes no hook below it:
+        # H((r, μ)) = H(μ)·∏_{c<r} (r − c + μ′_c)
+        for n in range(1, 21):
+            for lam in enumerate_partitions(n):
+                r, mu = lam[0], lam[1:]
+                mu_conj = conjugate(mu) + (0,) * r
+                assert hook_product(lam) == \
+                    hook_product(mu) * prod(r - c + mu_conj[c] for c in range(r)), lam
+
+    def test_violations_in_lexicographic_order(self, capsys, monkeypatch):
+        # made-up ratios 4 + f/ℓ(μ) at every representative (f, μ) with both
+        # moves: the walk meets them in trie order, and the facts and the
+        # FAIL list them as a lexicographic pass does, λ before λ'
+        monkeypatch.setattr(spectrum, "_ratio_terms",
+                            lambda f, mu, hooks, column, fact: (4 * len(mu) + f, len(mu)))
+        expected = [
+            (v, 4 + Fraction(lam[0], len(lam) - 1))
+            for lam, conj in representatives(12) if up_dn_ratio(lam) is not None
+            for v in dict.fromkeys((lam, conj))
+        ]
+        spectrum.clear_spectrum_cache()
+        try:
+            assert move_facts(12).violations == expected and len(expected) > 10
+            code = cli.main(["verify", "--n", "12", "--checks", "ratio-lemma",
+                             "--format", "json"])
+        finally:
+            spectrum.clear_spectrum_cache()
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert code == 1 and report["status"] == FAIL
+        assert report["notes"][1:] == [f"violation {format_partition(v)} ratio {r}"
+                                       for v, r in expected[:10]]
+        assert report["witnesses"] == [format_partition(v) for v, _r in expected[:10]]
 
 
 def assert_members_descending(spec):
@@ -310,7 +444,7 @@ class TestMembersDescending:
     def test_any_arrival_order(self):
         # members arriving in reverse, a pair as (λ', λ), are still sorted
         for n in range(2, 23):
-            classes = spectrum._pair_shard(n, range(n, 0, -1), "SA", True)
+            classes = spectrum._pair_shard(n, range((n + 1) // 2), "SA", True)
             for group, build in (("S", spectrum_sn), ("A", spectrum_an)):
                 chars, members = classes[group]
                 for kept in members.values():
@@ -366,15 +500,15 @@ class TestSpectrumAn:
 
 @pytest.fixture(scope="module")
 def moments():
-    """Per n = 2..40: p(n) and sc(n), counted in the degree table, and the
-    character counts and S_n degree sum of the store's spectra."""
+    """Per n = 2..40: p(n) and sc(n), counted over the partitions of n, and
+    the character counts and S_n degree sum of the store's spectra."""
     out = {}
     for n in range(2, 41):
-        table = degree_table(n)
+        parts = list(enumerate_partitions(n))
         s_classes = cached_spectrum("S", n).classes
         out[n] = {
-            "p": len(table),
-            "sc": sum(1 for lam in table if lam == conjugate(lam)),
+            "p": len(parts),
+            "sc": sum(1 for lam in parts if lam == conjugate(lam)),
             "s_count": sum(c.size for c in s_classes),
             "s_degree_sum": sum(c.size * c.degree for c in s_classes),
             "a_count": sum(c.size for c in cached_spectrum("A", n).classes),
@@ -578,25 +712,15 @@ class TestInducedBound:
 
 
 class TestMoveScan:
-    def test_move_degrees_agree_with_and_without_the_table(self, monkeypatch):
-        # the scans read move degrees from the store's table when it holds
-        # one, else from the hook formula; both give the same integers
-        def no_formula(parts):
-            raise AssertionError("a move degree came from the hook formula")
-
-        try:
-            for n in range(5, 21):
-                spectrum.clear_spectrum_cache()
-                classes = cached_spectrum("S", n).classes[:2]
-                members = [lam for c in classes for lam in c.members]
-                assert spectrum._store[1] is None and members
-                formula = [spectrum._scan_degrees(lam) for lam in members]
-                degree_table(n)
-                with monkeypatch.context() as m:
-                    m.setattr(spectrum, "degree_sn", no_formula)
-                    assert [spectrum._scan_degrees(lam) for lam in members] == formula
-        finally:
-            spectrum.clear_spectrum_cache()
+    def test_move_degrees_against_standard_tableaux(self):
+        # the scans take move degrees from the hook formula; they equal the
+        # tableau counts, which use no hook length
+        for n in range(5, 21):
+            members = [lam for c in cached_spectrum("S", n).classes[:2] for lam in c.members]
+            assert members
+            for lam in members:
+                degrees = spectrum._scan_degrees(lam)
+                assert degrees == {mu: count_standard_tableaux(mu) for mu in degrees}, lam
 
     def test_s_n7_inconclusive(self):
         rep = move_scan_verify(7, "S")
