@@ -47,7 +47,6 @@ from .graph import (
     near_max_count_check_all,
     neighbors,
     ratio_lemma_check,
-    vertex_degree,
 )
 from .report import Inequality, VerificationReport
 from .spectrum import (

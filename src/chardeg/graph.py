@@ -45,15 +45,6 @@ def neighbors(parts: Partition) -> tuple[Partition, ...]:
     return tuple(x for x in (lambda_up(parts), lambda_dn(parts)) if x is not None)
 
 
-def vertex_degree(parts: Partition) -> int:
-    """The number of move neighbors, counted without building them; the
-    conditions are those of ``lambda_up`` and ``lambda_dn``."""
-    k = len(parts)
-    up = k >= 2 and parts[-1] == 1
-    dn = k >= 1 and parts[0] >= 2 and (k == 1 or parts[0] > parts[1])
-    return up + dn
-
-
 def _paths(partitions: Iterable[Partition]) -> Iterator[PathComponent]:
     """The move path down along λ_dn from each top among ``partitions``, in
     their order; a top is a partition with no λ_up (one part, or a last

@@ -36,13 +36,9 @@ class AnDegreeEntry(NamedTuple):
     count: int
 
 
-def hook_lengths(parts: Partition, conj: Partition | None = None) -> list[int]:
-    """All hook lengths of the diagram, row by row, left to right.
-
-    ``conj`` is the conjugate of ``parts`` when the caller already has it.
-    """
-    if conj is None:
-        conj = conjugate(parts)
+def hook_lengths(parts: Partition) -> list[int]:
+    """All hook lengths of the diagram, row by row, left to right."""
+    conj = conjugate(parts)
     out: list[int] = []
     append = out.append
     for r0, row in enumerate(parts):
@@ -61,12 +57,9 @@ def hook_length(parts: Partition, node: Node) -> int:
     return (parts[row - 1] - col) + (conj[col - 1] - row) + 1
 
 
-def hook_product(parts: Partition, conj: Partition | None = None) -> int:
-    """Product of all hook lengths; 1 for the empty partition.
-
-    ``conj`` is the conjugate of ``parts`` when the caller already has it.
-    """
-    return prod(hook_lengths(parts, conj))
+def hook_product(parts: Partition) -> int:
+    """Product of all hook lengths; 1 for the empty partition."""
+    return prod(hook_lengths(parts))
 
 
 def degree_sn(parts: Partition) -> int:

@@ -72,23 +72,17 @@ def parse_partition(text: str, max_n: int | None = None) -> Partition:
     return tuple(parts)
 
 
-def enumerate_partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of n in descending lexicographic order.
 
-    Starts at (n) and ends at (1,)*n.  With ``max_part`` set, restricts to
-    partitions whose largest part is at most that value, same order.
+    Starts at (n) and ends at (1,)*n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
-    cap = n if max_part is None else min(max_part, n)
-    if cap < 1:
-        return
-    # lex-largest partition with parts <= cap
-    q, rem = divmod(n, cap)
-    r: Partition = (cap,) * q + ((rem,) if rem else ())
+    r: Partition = (n,)
     yield r
     while True:
         # i is the last part above 1; lower it by one and refill the tail

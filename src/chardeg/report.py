@@ -24,12 +24,10 @@ INFORMATIONAL = "informational"
 INCONCLUSIVE = "inconclusive"
 
 _RELATIONS = {
-    "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
     "==": operator.eq,
-    "!=": operator.ne,
 }
 
 ExactValue = int | Fraction

@@ -420,10 +420,9 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     fact = factorial(n)
     for c in kept:
         for lam, chars in zip(c.members, splits(group, c)):
-            conj = conjugate(lam)
-            if group == "A" and lam < conj:
+            if group == "A" and lam < conjugate(lam):
                 return False
-            if chars * c.degree * hook_product(lam, conj) != fact:
+            if chars * c.degree * hook_product(lam) != fact:
                 return False
     return True
 

@@ -89,13 +89,6 @@ class TestEnumerate:
             count += 1
         assert count == count_partitions(60) == 966467
 
-    def test_max_part_restriction(self):
-        for n in range(21):
-            for cap in range(1, n + 1):
-                got = list(enumerate_partitions(n, max_part=cap))
-                want = [p for p in enumerate_partitions(n) if p and p[0] <= cap]
-                assert got == want
-
 
 class TestCount:
     def test_known_values(self):

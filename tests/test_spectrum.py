@@ -22,6 +22,7 @@ from chardeg import (
     hook_product,
     induced_bound_check,
     move_scan_verify,
+    neighbors,
     sandwich_check,
     spectrum_an,
     spectrum_sn,
@@ -29,7 +30,6 @@ from chardeg import (
     up_dn_ratio,
     verify_theorem1,
     verify_theorem2,
-    vertex_degree,
 )
 from chardeg import cli, spectrum
 from chardeg.exact import induction_bound
@@ -323,7 +323,7 @@ class TestWalk:
 
     def test_against_the_partitions_of_n(self):
         # classes, top-two members and move facts from degree_sn,
-        # vertex_degree and up_dn_ratio over enumerate_partitions
+        # neighbors and up_dn_ratio over enumerate_partitions
         for n in range(2, 31):
             degree = {lam: degree_sn(lam) for lam in enumerate_partitions(n)}
             s_sizes, a_sizes, a_members = Counter(degree.values()), Counter(), {}
@@ -338,7 +338,7 @@ class TestWalk:
                 if ratio is not None and not 1 < ratio < 4:
                     violations += [(v, ratio) for v in dict.fromkeys((lam, conj))]
             for lam, d in degree.items():
-                if vertex_degree(lam) == 2:
+                if len(neighbors(lam)) == 2:
                     interior += 1
                 else:
                     low.setdefault(d, []).append(lam)

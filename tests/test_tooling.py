@@ -1,9 +1,12 @@
 """The benchmark still runs against the library: its tracer finds every
-name it wraps, and its checker accepts what the CLI prints."""
+name it wraps, and its checker accepts what the CLI prints.  Every source
+file parses at the oldest Python that pyproject.toml supports."""
 
+import ast
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,3 +83,14 @@ def test_benchmark_smoke_run(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
+
+
+def test_sources_parse_at_the_python_floor():
+    # feature_version makes a newer interpreter reject syntax that the
+    # requires-python floor lacks, such as except* below 3.11
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = (int(floor[1]), int(floor[2]))
+    paths = [p for part in ("src", "tests", "perfbench") for p in sorted((ROOT / part).rglob("*.py"))]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
