@@ -3,26 +3,29 @@ their top two classes only and load faster than they build.
 
 One JSON file per (group, n), byte for byte what ``spectrum --format
 json`` prints: ``serialize.spectrum_json`` renders both the entry and
-stdout.  A hit is parsed and validated in full, and what it prints is
-rendered from the validated spectrum, never copied from the file.  Any
-failure to read or admit an entry, too deep a nesting included, is a miss,
-and the spectrum is silently recomputed: another schema or layout, the
-wrong shape, a ``b`` or ``epsilon`` that the classes do not give, an
-identity of ``check_invariants`` broken, a size below 1 or degrees out of
-order, or other members than a fresh build.  The cache must never change a
-result.  Positive sizes edited below the top two classes still load if
-they keep the count and the mass, and for S_n Σ size·degree too; only a
-full pass could catch them.  Writes go through ``write_atomic``, a temp
-file and an atomic rename, which ``scan`` uses for its CSV as well.
+stdout.  A hit must be that render exactly.  ``serialize.spectrum_from_json``
+admits only the text that ``spectrum_json`` writes for the spectrum it
+parses and validates in full, so a hit prints the entry's own text: the
+parse has proved it is the render of the validated spectrum.  The entry is
+read as bytes and decoded as UTF-8 without newline translation, so CRLF
+line ends, another indent or an extra key are misses too.  Any failure to
+read or admit an entry is a miss, and the spectrum is silently recomputed:
+another schema or layout, a ``b`` or ``epsilon`` that the classes do not
+give, an identity of ``check_invariants`` broken, a size below 1 or
+degrees out of order, or other members than a fresh build.  The cache
+must never change a result.  Positive sizes edited below the top two
+classes still load if they keep the count and the mass, and for S_n
+Σ size·degree too; only a full pass could catch them.  Writes go through
+``write_atomic``, a temp file and an atomic rename, which ``scan`` uses
+for its CSV as well.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-from .serialize import spectrum_from_doc, spectrum_json
+from .serialize import spectrum_from_json, spectrum_json
 from .spectrum import DegreeSpectrum, has_built_members
 
 
@@ -30,17 +33,18 @@ def cache_path(cache_dir: str | Path, group: str, n: int) -> Path:
     return Path(cache_dir) / f"{group.lower()}{n:03d}.json"
 
 
-def load_spectrum(cache_dir: str | Path, group: str, n: int) -> DegreeSpectrum | None:
+def load_spectrum(
+    cache_dir: str | Path, group: str, n: int
+) -> tuple[DegreeSpectrum, str] | None:
+    """The entry for (group, n) as its validated spectrum and its text, which
+    is ``spectrum_json`` of that spectrum; None for any miss."""
     path = cache_path(cache_dir, group, n)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("group") != group.upper() or doc.get("n") != n:
-            return None  # before the invariant check computes n! for another n
-        spec = spectrum_from_doc(doc)
+        text = path.read_bytes().decode("utf-8")
+        spec = spectrum_from_json(text, group.upper(), n)
         if not has_built_members(spec):
             return None  # a hit must print what a fresh build prints
-        return spec
+        return spec, text
     except Exception:  # any entry that cannot be read or admitted: a miss only costs a build
         return None
 

@@ -162,8 +162,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     if args.n <= spectrum.MEMBER_CAP:
         cache_dir = None  # here a load is no faster than a build
-    spec = load_spectrum(cache_dir, group, args.n) if cache_dir else None
-    if spec is None:
+    hit = load_spectrum(cache_dir, group, args.n) if cache_dir else None
+    if hit is not None:
+        spec, text = hit  # the load proved text is spectrum_json(spec)
+    else:
         builder = spectrum_sn if group == "S" else spectrum_an
         spec = builder(args.n, threads=args.threads, max_n=args.max_n)
         if cache_dir:
@@ -171,8 +173,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 store_spectrum(cache_dir, spec)
             except OSError as exc:
                 print(f"warning: spectrum not cached: {exc}", file=sys.stderr)
+        # rendered after the store's own render is freed, which keeps the peak down
+        text = spectrum_json(spec) if args.fmt == "json" else None
     if args.fmt == "json":
-        print(spectrum_json(spec), end="")
+        print(text, end="")
     elif args.fmt == "csv":
         print(spectrum_to_csv(spec), end="")
     else:

@@ -12,6 +12,9 @@ counts.
 from __future__ import annotations
 
 import json
+import re
+from itertools import repeat
+from operator import gt
 
 from .exact import decimal_str
 from .graph import PartitionGraph
@@ -63,12 +66,31 @@ _SPECTRUM_JSON = (
     '{\n  "schema": %d,\n  "group": "%s",\n  "n": %d,\n  "b": "%d",\n  "epsilon": "%s",\n'
     '  "epsilon_decimal": "%s",\n  "members_complete": %s,\n  "classes": [\n%s\n  ]\n}\n'
 )
+_HEAD_JSON, _END_JSON = _SPECTRUM_JSON.rsplit("%s", 1)  # around the classes
+_BARE_SPLITS = ',\n      "splits": []'
 
 
 def _json_list(items: list[str]) -> str:
     """A non-empty list of rendered values at a class's depth, as indent=2
     lays it out."""
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def _class_json(c: DegreeClass, alternating: bool) -> str:
+    """A class that keeps members, as ``indent=2`` lays it out."""
+    members = _json_list(['"%s"' % format_partition(p) for p in c.members])
+    tail = ""
+    if alternating:
+        tail = ',\n      "splits": ' + _json_list([str(s) for s in splits("A", c)])
+    return _CLASS_JSON % (c.degree, c.size, members, tail)
+
+
+def _head_json(spec: DegreeSpectrum) -> str:
+    eps = epsilon(spec)
+    return _HEAD_JSON % (
+        SCHEMA_VERSION, spec.group, spec.n, spec.b, eps, decimal_str(eps),
+        "true" if spec.members_complete else "false",
+    )
 
 
 def spectrum_json(spec: DegreeSpectrum) -> str:
@@ -79,21 +101,95 @@ def spectrum_json(spec: DegreeSpectrum) -> str:
     gives the ``indent=2`` layout without the pure-Python JSON encoder.
     ``spectrum_to_doc`` stays the reference that the tests compare with.
     """
-    eps = epsilon(spec)
     alternating = spec.group == "A"
-    bare = ("[]", ',\n      "splits": []' if alternating else "")
-    classes = []
-    for c in spec.classes:
-        members, tail = bare
-        if c.members:
-            members = _json_list(['"%s"' % format_partition(p) for p in c.members])
-            if alternating:
-                tail = ',\n      "splits": ' + _json_list([str(s) for s in splits("A", c)])
-        classes.append(_CLASS_JSON % (c.degree, c.size, members, tail))
-    return _SPECTRUM_JSON % (
-        SCHEMA_VERSION, spec.group, spec.n, spec.b, eps, decimal_str(eps),
-        "true" if spec.members_complete else "false", ",\n".join(classes),
+    bare = _BARE_SPLITS if alternating else ""
+    classes = [
+        _class_json(c, alternating) if c.members else _CLASS_JSON % (c.degree, c.size, "[]", bare)
+        for c in spec.classes
+    ]
+    return "".join((_head_json(spec), ",\n".join(classes), _END_JSON))
+
+
+def _pattern(template: str, *fields: str) -> str:
+    """A regex for ``template``: its literal text escaped, and its k-th %d or
+    %s placeholder replaced by ``fields[k]``."""
+    literals = re.split("%[ds]", template)
+    if len(literals) != len(fields) + 1:
+        raise ValueError("one field per placeholder")
+    return re.escape(literals[0]) + "".join(
+        field + re.escape(text) for field, text in zip(fields, literals[1:])
     )
+
+
+_COUNT = "([1-9][0-9]*)"  # the %d of a value of at least 1
+# a class that keeps members, behind the list's separator unless it is the
+# first; parsed loosely, then held to its re-render
+_MEMBER_CLASS = re.compile(
+    "(,\n)?" + _pattern(_CLASS_JSON, _COUNT, _COUNT, r"(\[\n[^\]]*\])", "[^}]*")
+)
+_MEMBER = re.compile('\n {8}"([^"\n]*)"')
+# a class that keeps none, behind the separator, with its degree and size
+# still to fill in
+_BARE_JSON = {
+    alternating: ",\n" + _CLASS_JSON.replace("%s%s", "[]" + (_BARE_SPLITS if alternating else ""))
+    for alternating in (False, True)
+}
+_BARE_CLASS = {alternating: re.compile(_pattern(template, _COUNT, _COUNT))
+               for alternating, template in _BARE_JSON.items()}
+_CLASSES_OPEN = _HEAD_JSON.rsplit("\n  ", 1)[1]  # the header's last line, '"classes": [\n'
+
+
+def spectrum_from_json(text: str, group: str, n: int) -> DegreeSpectrum:
+    """The spectrum of ``group`` and ``n`` whose ``spectrum_json`` is
+    ``text``, byte for byte, for a spectrum whose classes that keep members
+    come first, as in every built one.  Any other text raises ValueError;
+    a spectrum that breaks an identity of ``check_invariants`` raises
+    ArithmeticError.
+
+    The header and each class that keeps members are parsed, re-rendered
+    and compared with their span of the text, so the splits, ``b``,
+    ``epsilon``, ``epsilon_decimal`` and ``members_complete`` are the ones
+    the classes give.  The classes that keep none are read by one regex
+    scan: each match is one class exactly as rendered, its degree and size
+    canonical decimals of at least 1, and the matches must add up to the
+    length of their span, which leaves no gap.  Degrees descend strictly.
+    """
+    if group not in ("S", "A"):
+        raise ValueError(f"unknown group tag {group!r}")
+    alternating = group == "A"
+    start = pos = text.index(_CLASSES_OPEN) + len(_CLASSES_OPEN)
+    end = len(text) - len(_END_JSON)
+    if end < pos or text[end:] != _END_JSON:
+        raise ValueError("not the layout of a spectrum document")
+    classes = []
+    above = None
+    while match := _MEMBER_CLASS.match(text, pos, end):
+        sep, degree, size, members = match.groups()
+        c = DegreeClass(int(degree), int(size),
+                        tuple(parse_partition(t, max_n=n) for t in _MEMBER.findall(members)))
+        if (above is not None and c.degree >= above) or bool(sep) != bool(classes) or \
+                (sep or "") + _class_json(c, alternating) != match[0]:
+            raise ValueError(f"class of degree {degree} is not as a build renders it")
+        above = c.degree
+        classes.append(c)
+        pos = match.end()
+    # one scan; its matches tile the rest exactly when their lengths, the
+    # template's text and the digits filled in, add up to the rest's length
+    found = _BARE_CLASS[alternating].findall(text, pos, end)
+    digits, counts = zip(*found) if found else ((), ())
+    covered = (pos - start + len(found) * (len(_BARE_JSON[alternating]) - len("%d%d"))
+               + sum(map(len, digits)) + sum(map(len, counts)))
+    degrees = list(map(int, digits))
+    ordered = degrees if above is None else [above] + degrees
+    if not all(map(gt, ordered, ordered[1:])):
+        raise ValueError(f"degrees out of order in {group}_{n}")
+    classes += map(DegreeClass, degrees, map(int, counts), repeat((), len(degrees)))
+    if not classes or covered != end - start:
+        raise ValueError("not the layout of a spectrum document")
+    spec = check_invariants(DegreeSpectrum(n, group, tuple(classes)))
+    if _head_json(spec) != text[:start]:
+        raise ValueError("header is not the one the classes give")
+    return spec
 
 
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:

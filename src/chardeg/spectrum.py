@@ -297,8 +297,8 @@ def _pair_shard(
         new_cols = list(range(1 - width, 1 - hi, -1))
         for r in range(lo, hi + 1):
             hooks = [r + x for x in q]
-            above = column
-            if rows:
+            above = column  # read only by the facts
+            if rows and facts is not None:
                 h = hooks[0]  # the new row's first hook, r + ℓ(μ)
                 above = (column[0] * (h * h - 1), column[1] * h)
             walk((r,) + mu, raised + new_cols[:r - width],
@@ -430,6 +430,8 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
 # the current n's spectra and, when they were asked for, its move facts;
 # replaced when another n is built
 _store: tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]] | None = None
+# beside it, the degrees of the single-node moves that the checks have scanned
+_move_degrees: dict[Partition, int] = {}
 
 
 def _current(n: int, facts: bool = False) -> tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]]:
@@ -464,9 +466,10 @@ def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
 
 
 def clear_spectrum_cache() -> None:
-    """Drop the store."""
+    """Drop the store and the move degrees kept beside it."""
     global _store
     _store = None
+    _move_degrees.clear()
 
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:
@@ -571,8 +574,16 @@ def branch_decompose(parts: Partition) -> BranchDecomposition:
 
 
 def _scan_degrees(parts: Partition) -> dict[Partition, int]:
-    """Exact degrees of every single-node move of ``parts``."""
-    return {moved: degree_sn(moved) for _i, _j, moved in iter_moves(parts)}
+    """Exact degrees of every single-node move of ``parts``.  induced-bound
+    and both move scans read the moves of the same maximizers, so each
+    degree is computed once and kept beside the store until it is cleared."""
+    degrees = {}
+    for _i, _j, moved in iter_moves(parts):
+        d = _move_degrees.get(moved)
+        if d is None:
+            d = _move_degrees[moved] = degree_sn(moved)
+        degrees[moved] = d
+    return degrees
 
 
 def _move_mass(members, below: int, target, label: str) -> list[Inequality]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,8 +19,15 @@ from chardeg import (
     spectrum,
 )
 from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
+from chardeg.hooks import degree_sn
 from chardeg.partitions import parse_partition
-from chardeg.serialize import json_text, spectrum_json, spectrum_to_doc
+from chardeg.serialize import (
+    json_text,
+    spectrum_from_doc,
+    spectrum_from_json,
+    spectrum_json,
+    spectrum_to_doc,
+)
 from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
 
 
@@ -190,11 +198,64 @@ class TestSpectrumJson:
             assert not spec.members_complete
             assert md5(spectrum_json(spec)) == md5(json_text(spectrum_to_doc(spec)))
 
+    @pytest.mark.parametrize(("build", "lowest"), [(spectrum_sn, 1), (spectrum_an, 2)])
+    def test_parser_inverts_the_render(self, monkeypatch, build, lowest):
+        # every class keeps members up to the cap, and only the top two above it
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 9)
+        for n in range(lowest, 15):
+            spec = build(n)
+            assert spectrum_from_json(spectrum_json(spec), spec.group, n) == spec, n
+
+    @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
+    def test_entries_keep_the_layout_json_text_writes(self, monkeypatch, build):
+        # so edit_entry, which writes json_text, changes only the values it edits
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
+        capped = build(12)
+        monkeypatch.undo()
+        for spec in (capped, build(41)):
+            entry = spectrum_json(spec)
+            assert json_text(json.loads(entry)) == entry
+
 
 def edit_entry(path, edit):
+    """Edit the entry's document and write it back in the layout a build
+    writes, so that only the edited values differ."""
     doc = json.loads(path.read_text())
     edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json_text(doc))
+
+
+def loaded(cache_dir, group, n):
+    """The spectrum of a hit, whose text must be its render; None on a miss."""
+    hit = load_spectrum(cache_dir, group, n)
+    if hit is None:
+        return None
+    spec, text = hit
+    assert text == spectrum_json(spec)
+    return spec
+
+
+def lenient_load(cache_dir, group, n):
+    """The entry read through the lenient reference, json.loads and
+    spectrum_from_doc, with the loader's checks on group, n and members:
+    what it admits does not depend on the layout."""
+    doc = json.loads(cache_path(cache_dir, group, n).read_text())
+    try:
+        spec = spectrum_from_doc(doc)
+    except (ValueError, ArithmeticError):
+        return None
+    if doc["group"] != group or doc["n"] != n or not has_built_members(spec):
+        return None
+    return spec
+
+
+def assert_value_miss(cache_dir, group, n):
+    """The entry keeps the layout a build writes, and is a miss for the
+    lenient reference too: a value check refuses it, not the layout."""
+    text = cache_path(cache_dir, group, n).read_text()
+    assert json_text(json.loads(text)) == text
+    assert lenient_load(cache_dir, group, n) is None
+    assert load_spectrum(cache_dir, group, n) is None
 
 
 def plant_entry(cache_dir, spec):
@@ -346,9 +407,9 @@ class TestCache:
         argv = ("spectrum", "--n", str(n), "--group", group.lower())
         _, cold, _ = run(capsys, *argv)
         path = store_spectrum(tmp_path, (spectrum_sn if group == "S" else spectrum_an)(n))
-        assert load_spectrum(tmp_path, group, n).members_complete is not capped
+        assert loaded(tmp_path, group, n).members_complete is not capped
         edit_entry(path, top_member_reads_n)
-        assert load_spectrum(tmp_path, group, n) is None
+        assert_value_miss(tmp_path, group, n)
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
@@ -366,22 +427,22 @@ class TestCache:
     def test_wrong_members_are_a_miss(self, tmp_path, group, edit):
         build = spectrum_sn if group == "S" else spectrum_an
         path = store_spectrum(tmp_path, build(6))
-        assert load_spectrum(tmp_path, group, 6) is not None
+        assert loaded(tmp_path, group, 6) is not None
         edit_entry(path, edit)
-        assert load_spectrum(tmp_path, group, 6) is None
+        assert_value_miss(tmp_path, group, 6)
 
     def test_member_of_another_n_with_the_class_degree_is_a_miss(self, tmp_path):
         path = store_spectrum(tmp_path, spectrum_sn(7))
-        assert load_spectrum(tmp_path, "S", 7) is not None
+        assert loaded(tmp_path, "S", 7) is not None
         edit_entry(path, member_of_n_6_with_the_degree)
-        assert load_spectrum(tmp_path, "S", 7) is None
+        assert_value_miss(tmp_path, "S", 7)
 
     def test_incomplete_top_two_is_a_miss(self, tmp_path):
         spec = spectrum_sn(12)
         path = store_spectrum(tmp_path, spec)
-        assert load_spectrum(tmp_path, "S", 12) == spec
+        assert loaded(tmp_path, "S", 12) == spec
         edit_entry(path, lambda doc: doc["classes"][1].update(members=[]))
-        assert load_spectrum(tmp_path, "S", 12) is None
+        assert_value_miss(tmp_path, "S", 12)
 
     # classes below the top two keep no members, so only the document's
     # degree order and sizes, and the epsilon they fix, give these edits away
@@ -396,7 +457,7 @@ class TestCache:
         _, cold, _ = run(capsys, *argv)
         path = store_spectrum(tmp_path, (spectrum_sn if group == "S" else spectrum_an)(12))
         edit_entry(path, edit)
-        assert load_spectrum(tmp_path, group, 12) is None
+        assert_value_miss(tmp_path, group, 12)
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
@@ -416,13 +477,13 @@ class TestCache:
         _, cold, _ = run(capsys, *argv)
         spec = (spectrum_sn if group == "S" else spectrum_an)(n)
         path = store_spectrum(tmp_path, spec)
-        assert load_spectrum(tmp_path, group, n) == spec
+        assert loaded(tmp_path, group, n) == spec
         edit_entry(path, sizes_moved(moves))
         classes = json.loads(path.read_text())["classes"]
         assert all(c["size"] >= 1 for c in classes)
         assert sum(c["size"] * int(c["degree"]) ** 2 for c in classes) == \
             sum(c.size * c.degree ** 2 for c in spec.classes)
-        assert load_spectrum(tmp_path, group, n) is None
+        assert_value_miss(tmp_path, group, n)
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
@@ -434,18 +495,18 @@ class TestCache:
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
         capped = build(12)
         store_spectrum(tmp_path, capped)
-        assert load_spectrum(tmp_path, group, 12) == capped
+        assert loaded(tmp_path, group, 12) == capped
         with pytest.raises(ValueError):
             store_spectrum(tmp_path, complete)
         path = plant_entry(tmp_path, complete)
-        assert load_spectrum(tmp_path, group, 12) is None
+        assert_value_miss(tmp_path, group, 12)
         edit_entry(path, lambda doc: doc.update(members_complete=False))
-        assert load_spectrum(tmp_path, group, 12) is None
+        assert_value_miss(tmp_path, group, 12)
 
     def test_capped_entry_does_not_change_stdout(self, capsys, tmp_path):
         _, cold, _ = run(capsys, "spectrum", "--n", "12")
         store_spectrum(tmp_path, spectrum_sn(12))
-        assert load_spectrum(tmp_path, "S", 12) is not None  # so the run below is a hit
+        assert loaded(tmp_path, "S", 12) is not None  # so the run below is a hit
         code, out, _ = run(capsys, "spectrum", "--n", "12", "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
 
@@ -465,9 +526,9 @@ class TestCache:
         for group, n in (("S", 11), ("A", 11)):
             spec = spectrum_sn(n) if group == "S" else spectrum_an(n)
             store_spectrum(tmp_path, spec)
-            loaded = load_spectrum(tmp_path, group, n)
-            assert loaded == spec
-            assert spectrum_to_doc(loaded) == spectrum_to_doc(spec)
+            spec_read, text = load_spectrum(tmp_path, group, n)
+            assert spec_read == spec
+            assert text == spectrum_json(spec) == cache_path(tmp_path, group, n).read_text()
 
     def test_corrupt_cache_recomputed(self, capsys, tmp_path):
         path = cache_path(tmp_path, "S", 8)
@@ -507,7 +568,7 @@ class TestCache:
         )
         assert code == 0 and out == json_text(spectrum_to_doc(spec))
         assert path.read_text() == out
-        assert load_spectrum(tmp_path, "S", 12) == spec
+        assert loaded(tmp_path, "S", 12) == spec
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
@@ -552,13 +613,57 @@ class TestCache:
         store_spectrum(tmp_path, spec)
         assert path.read_bytes() == first
 
-    def test_entry_with_timestamp_still_loads(self, tmp_path):
+    def test_entry_with_an_extra_key_is_rewritten(self, capsys, tmp_path):
+        # a hit prints the entry's own text, so an entry must be exactly the
+        # render of its spectrum; a key the renderer does not write is a miss
         spec = spectrum_sn(9)
         path = store_spectrum(tmp_path, spec)
-        entry = json.loads(path.read_text())
-        entry["created"] = "2026-01-01T00:00:00Z"
-        path.write_text(json.dumps(entry))
-        assert load_spectrum(tmp_path, "S", 9) == spec
+        canonical = path.read_bytes()
+        edit_entry(path, lambda doc: doc.update(created="2026-01-01T00:00:00Z"))
+        assert lenient_load(tmp_path, "S", 9) == spec
+        assert load_spectrum(tmp_path, "S", 9) is None
+        code, out, _ = run(
+            capsys, "spectrum", "--n", "9", "--format", "json", "--cache-dir", str(tmp_path)
+        )
+        assert code == 0 and out == spectrum_json(spec)
+        assert path.read_bytes() == canonical
+
+    def test_crlf_entry_is_a_miss(self, capsys, tmp_path):
+        spec = spectrum_sn(9)
+        path = store_spectrum(tmp_path, spec)
+        canonical = path.read_bytes()
+        path.write_bytes(canonical.replace(b"\n", b"\r\n"))
+        assert lenient_load(tmp_path, "S", 9) == spec
+        assert load_spectrum(tmp_path, "S", 9) is None
+        code, out, _ = run(
+            capsys, "spectrum", "--n", "9", "--format", "json", "--cache-dir", str(tmp_path)
+        )
+        assert code == 0 and out == spectrum_json(spec)
+        assert path.read_bytes() == canonical
+
+    @pytest.mark.parametrize(("build", "seed"), [(spectrum_sn, 1), (spectrum_an, 2)])
+    def test_single_byte_edits_miss_or_load_their_own_render(self, tmp_path, build, seed):
+        # a hit's text is printed as it is, so no edit may load with text that
+        # is not the render of the spectrum it loads
+        spec = build(12)
+        path = store_spectrum(tmp_path, spec)
+        canonical = path.read_bytes()
+        rng = random.Random(seed)
+        alphabet = b'0123456789 ,:"[]{}\n\r\tabe-'
+        hits = 0
+        for _ in range(300):
+            i = rng.randrange(len(canonical))
+            byte = bytes([rng.choice(alphabet + bytes([rng.randrange(256)]))])
+            kind = rng.randrange(3)
+            edited = canonical[:i] + (b"" if kind == 0 else byte) + canonical[i + (kind != 2):]
+            if edited == canonical:
+                continue
+            path.write_bytes(edited)
+            hit = load_spectrum(tmp_path, spec.group, 12)
+            if hit is not None:
+                hits += 1
+                assert hit[1] == spectrum_json(hit[0]) == edited.decode("utf-8")
+        assert hits == 0
 
 
 class TestCacheAtTheMemberCap:
@@ -601,19 +706,42 @@ class TestCacheAtTheMemberCap:
         code, cold, _ = run(capsys, *argv, "--threads", "2", "--cache-dir", str(tmp_path))
         assert code == 0 and md5(cold) == md5(plain)
         assert md5(cache_path(tmp_path, group, 41).read_text()) == md5(cold)
-        assert load_spectrum(tmp_path, group.upper(), 41) is not None
+        assert loaded(tmp_path, group.upper(), 41) is not None
         code, warm, _ = run(capsys, *argv, "--threads", "1", "--cache-dir", str(tmp_path))
         assert code == 0 and md5(warm) == md5(plain)
 
-    def test_hit_prints_the_validated_spectrum_not_the_file(self, capsys, tmp_path, monkeypatch):
-        path = store_spectrum(tmp_path, spectrum_sn(41))
-        path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
-        assert load_spectrum(tmp_path, "S", 41) is not None
-        monkeypatch.setattr(cli, "spectrum_sn", None)  # a miss would have to build
+    def test_reindented_entry_is_a_miss_and_rewritten(self, capsys, tmp_path):
+        spec = spectrum_sn(41)
+        path = store_spectrum(tmp_path, spec)
+        canonical = path.read_text()
+        path.write_text(json.dumps(json.loads(canonical), indent=4))
+        assert lenient_load(tmp_path, "S", 41) == spec
+        assert load_spectrum(tmp_path, "S", 41) is None
         argv = ("spectrum", "--n", "41", "--format", "json", "--cache-dir", str(tmp_path))
         code, out, _ = run(capsys, *argv)
         assert code == 0 and md5(out) == "36e4461473a5b268ce5dd918dfad88b2"
-        assert md5(path.read_text()) != md5(out)  # a hit leaves the entry as it is
+        assert md5(path.read_text()) == md5(canonical)
+
+    def test_hit_prints_the_entry_it_proved(self, capsys, tmp_path, monkeypatch):
+        plain = {fmt: run(capsys, "spectrum", "--n", "41", "--format", fmt)[1]
+                 for fmt in ("json", "csv", "text")}
+        assert md5(plain["json"]) == "36e4461473a5b268ce5dd918dfad88b2"
+        store_spectrum(tmp_path, spectrum_sn(41))
+        for name in ("spectrum_sn", "spectrum_json"):  # a miss would build, a re-render call
+            monkeypatch.setattr(cli, name, None)
+        for name in ("load", "loads"):  # the hit parses the layout, not JSON
+            monkeypatch.setattr(json, name, None)
+        for fmt, expected in plain.items():
+            code, out, _ = run(capsys, "spectrum", "--n", "41", "--format", fmt,
+                               "--cache-dir", str(tmp_path))
+            assert code == 0 and md5(out) == md5(expected), fmt
+
+    @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
+    def test_round_trip_of_built_entries(self, tmp_path, build):
+        for n in range(41, 46):
+            spec = build(n)
+            store_spectrum(tmp_path, spec)
+            assert load_spectrum(tmp_path, spec.group, n) == (spec, spectrum_json(spec)), n
 
 
     def test_swapped_lower_classes_are_a_miss(self, capsys, tmp_path):
@@ -782,6 +910,28 @@ class TestVerifyCmd:
             capped = spectrum_sn(5)
         assert spectrum.cached_spectrum("S", 5) == capped
         assert spectrum._store[0] == 5
+
+    def test_each_move_degree_is_computed_once(self, capsys, monkeypatch):
+        # induced-bound and both move scans read the single-node moves of the
+        # same maximizers, and neighbouring members share moves; each move's
+        # degree is kept beside the store
+        calls = Counter()
+
+        def counted(parts):
+            calls[parts] += 1
+            return degree_sn(parts)
+
+        spectrum.clear_spectrum_cache()
+        monkeypatch.setattr(spectrum, "degree_sn", counted)
+        code, _, _ = run(capsys, "verify", "--n", "44", "--checks", "induced-bound,move-scan")
+        assert code == 0
+        s_spec = spectrum.cached_spectrum("S", 44)
+        scanned = set(s_spec.maximizers) | set(s_spec.classes[1].members)
+        moves = {mu for lam in scanned for _i, _j, mu in partitions.iter_moves(lam)}
+        assert set(calls) == moves and set(calls.values()) == {1}
+        assert spectrum._move_degrees.keys() == moves
+        spectrum.clear_spectrum_cache()
+        assert not spectrum._move_degrees
 
     def test_ratio_lemma_never_builds_the_graph(self, capsys, monkeypatch):
         from chardeg import graph
