@@ -1,4 +1,5 @@
-"""The move graph on partitions of n and the counting checks riding on it.
+"""The move graph on partitions of n, and the ratio-lemma and counting checks
+about its moves, which read the walk's move facts rather than the graph.
 
 Vertices are all partitions of n; each vertex is joined to its λ_up and
 λ_dn images when those moves are defined.  The two moves are mutually

@@ -140,42 +140,37 @@ def is_self_conjugate(parts: Partition) -> bool:
     return not parts or (parts[0] == len(parts) and conjugate(parts) == parts)
 
 
-def addable_nodes(parts: Partition) -> frozenset[Node]:
-    """Nodes whose addition yields a valid partition of n+1.
+def _corner(parts: Partition, row: int) -> bool:
+    """True when ``row`` (1-based, in range) is longer than the row below it,
+    so its last cell is a removable corner."""
+    return parts[row - 1] > (parts[row] if row < len(parts) else 0)
 
-    A row accepts a new cell at its end when it is strictly shorter than the
-    row above it; row 1 and a fresh last row are always available.
-    """
+
+def _addable(parts: Partition, row: int) -> bool:
+    """True when ``row`` (1-based) accepts a new cell at its end: row 1, a
+    fresh last row, or a row strictly shorter than the row above it."""
     k = len(parts)
-    nodes = set()
-    if k == 0:
-        return frozenset({(1, 1)})
-    nodes.add((1, parts[0] + 1))
-    for j in range(2, k + 1):
-        if parts[j - 2] > parts[j - 1]:
-            nodes.add((j, parts[j - 1] + 1))
-    nodes.add((k + 1, 1))
-    return frozenset(nodes)
+    return row == 1 or row == k + 1 or (row <= k and parts[row - 2] > parts[row - 1])
+
+
+def addable_nodes(parts: Partition) -> frozenset[Node]:
+    """Nodes whose addition yields a valid partition of n+1."""
+    k = len(parts)
+    return frozenset(
+        (j, (parts[j - 1] if j <= k else 0) + 1) for j in range(1, k + 2) if _addable(parts, j)
+    )
 
 
 def removable_nodes(parts: Partition) -> frozenset[Node]:
     """Corner nodes whose removal yields a valid partition of n-1."""
-    k = len(parts)
-    nodes = set()
-    for j in range(1, k + 1):
-        below = parts[j] if j < k else 0
-        if parts[j - 1] > below:
-            nodes.add((j, parts[j - 1]))
-    return frozenset(nodes)
+    return frozenset((j, parts[j - 1]) for j in range(1, len(parts) + 1) if _corner(parts, j))
 
 
 def remove_node(parts: Partition, row: int) -> Partition:
     """Remove the last cell of ``row`` (1-based); the row must be a corner."""
-    k = len(parts)
-    if not 1 <= row <= k:
+    if not 1 <= row <= len(parts):
         raise ValueError(f"row {row} out of range for {parts}")
-    below = parts[row] if row < k else 0
-    if parts[row - 1] <= below:
+    if not _corner(parts, row):
         raise ValueError(f"row {row} of {parts} is not a removable corner")
     if parts[row - 1] == 1:
         return parts[: row - 1] + parts[row:]
@@ -187,10 +182,10 @@ def add_node(parts: Partition, row: int) -> Partition:
     k = len(parts)
     if not 1 <= row <= k + 1:
         raise ValueError(f"row {row} out of range for {parts}")
+    if not _addable(parts, row):
+        raise ValueError(f"row {row} of {parts} is not addable")
     if row == k + 1:
         return parts + (1,)
-    if row > 1 and parts[row - 2] <= parts[row - 1]:
-        raise ValueError(f"row {row} of {parts} is not addable")
     return parts[: row - 1] + (parts[row - 1] + 1,) + parts[row:]
 
 
@@ -232,42 +227,36 @@ def move_node(parts: Partition, i: int, j: int) -> Partition | None:
         raise ValueError(f"source row {i} out of range for {parts}")
     if not 1 <= j <= k + 1:
         raise ValueError(f"target row {j} out of range for {parts}")
-    below = parts[i] if i < k else 0
-    if parts[i - 1] <= below:
+    if not _corner(parts, i):
         return None
     reduced = remove_node(parts, i)
-    m = len(reduced)
-    if j > m + 1:
-        return None
-    if j <= m and j > 1 and reduced[j - 2] <= reduced[j - 1]:
+    if not _addable(reduced, j):
         return None
     return add_node(reduced, j)
 
 
 def iter_moves(parts: Partition) -> Iterator[tuple[int, int, Partition]]:
-    """Yield (i, j, result) for every defined single-node move, i != j."""
-    k = len(parts)
-    for i in range(1, k + 1):
-        for j in range(1, k + 2):
-            if j != i and (moved := move_node(parts, i, j)) is not None:
-                yield i, j, moved
+    """Yield (i, j, result) for every defined single-node move, i != j, in
+    ascending (i, j) order: each corner row i against the addable rows j."""
+    for i in range(1, len(parts) + 1):
+        if _corner(parts, i):
+            reduced = remove_node(parts, i)
+            for j in range(1, len(reduced) + 2):
+                if j != i and _addable(reduced, j):
+                    yield i, j, add_node(reduced, j)
 
 
 def lambda_to_1(parts: Partition) -> Partition | None:
     """Degree-increasing rebalance for partitions with no λ_dn move.
 
     When the first s >= 2 parts share the value t >= 2 and the rest are
-    smaller, grows the first part by one and shrinks the s-th by one.  None
-    whenever λ_dn exists, for single-row partitions, and for all-ones
-    partitions.
+    smaller, moves the last cell of row s to row 1.  None whenever λ_dn
+    exists, for single-row partitions, and for all-ones partitions.
     """
-    if len(parts) < 2 or parts[0] == 1:
+    if len(parts) < 2 or parts[0] == 1 or lambda_dn(parts) is not None:
         return None
-    if lambda_dn(parts) is not None:
-        return None
-    t = parts[0]
     s = 1
-    while s < len(parts) and parts[s] == t:
+    while s < len(parts) and parts[s] == parts[0]:
         s += 1
-    # parts[0:s] == t with s >= 2 because lambda_dn is undefined here
-    return (t + 1,) + parts[1 : s - 1] + (t - 1,) + parts[s:]
+    # s >= 2 because lambda_dn is undefined here, and row s is a corner
+    return move_node(parts, s, 1)

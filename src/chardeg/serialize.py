@@ -287,10 +287,13 @@ def graph_to_doc(graph: PartitionGraph) -> dict:
 def graph_from_doc(doc: dict) -> PartitionGraph:
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
+    n = int(doc["n"])
     comps = tuple(
-        tuple(parse_partition(t) for t in comp) for comp in doc["components"]
+        tuple(parse_partition(t, max_n=n) for t in comp) for comp in doc["components"]
     )
-    return PartitionGraph(int(doc["n"]), comps)
+    if any(sum(parts) != n for comp in comps for parts in comp):
+        raise ValueError(f"a vertex is not a partition of {n}")
+    return PartitionGraph(n, comps)
 
 
 def graph_to_dot(graph: PartitionGraph) -> str:

@@ -296,3 +296,15 @@ class TestExports:
         for n in (1, 4, 6, 9):
             g = build_graph(n)
             assert graph_from_doc(graph_to_doc(g)) == g
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [["9,9"], ["2,2"]],  # parts sum past n
+            [["1^2000000"]],  # refused before the exponent is expanded
+            [["3,1"], ["1,1"]],  # parts sum short of n
+        ],
+    )
+    def test_json_rejects_vertices_that_are_not_partitions_of_n(self, components):
+        with pytest.raises(ValueError):
+            graph_from_doc({"schema": 1, "n": 4, "components": components})

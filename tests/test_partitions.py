@@ -232,6 +232,36 @@ class TestMoveNode:
                             via_sets.add(add_node(reduced, arow))
                 assert via_moves == via_sets
 
+    @staticmethod
+    def reference_moves(lam):
+        """Brute force: shift one unit from entry i-1 to entry j-1 (or a new
+        last entry) and keep what is a partition other than lam."""
+        k = len(lam)
+        out = []
+        for i in range(1, k + 1):
+            for j in range(1, k + 2):
+                parts = list(lam) + [0]
+                parts[i - 1] -= 1
+                parts[j - 1] += 1
+                while parts and parts[-1] == 0:
+                    parts.pop()
+                moved = tuple(parts)
+                if is_partition(moved) and moved != lam:
+                    out.append((i, j, moved))
+        return out
+
+    def test_moves_match_brute_force_reference(self):
+        for n in range(1, 21):
+            for lam in enumerate_partitions(n):
+                reference = self.reference_moves(lam)
+                assert list(iter_moves(lam)) == reference
+                expected = {(i, j): moved for i, j, moved in reference}
+                k = len(lam)
+                for i in range(1, k + 1):
+                    for j in range(1, k + 2):
+                        if i != j:
+                            assert move_node(lam, i, j) == expected.get((i, j))
+
     def test_moves_are_distinct_and_same_n(self):
         for n in range(1, 18):
             for lam in enumerate_partitions(n):
