@@ -20,13 +20,12 @@ from typing import Iterable, Iterator
 from . import spectrum
 from .partitions import (
     Partition,
-    count_partitions,
     enumerate_partitions,
     format_partition,
     lambda_dn,
     lambda_up,
 )
-from .report import FAIL, PASS, Inequality, VerificationReport
+from .report import Inequality, VerificationReport
 
 PathComponent = tuple[Partition, ...]
 
@@ -35,10 +34,6 @@ PathComponent = tuple[Partition, ...]
 class PartitionGraph:
     n: int
     components: tuple[PathComponent, ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(c) for c in self.components)
 
 
 def neighbors(parts: Partition) -> tuple[Partition, ...]:
@@ -68,20 +63,6 @@ def build_graph(n: int) -> PartitionGraph:
     return PartitionGraph(n, tuple(_paths(enumerate_partitions(n))))
 
 
-def _move_facts(n: int) -> spectrum.MoveFacts:
-    """The store's move facts for n.  A verdict read from them covers every
-    partition of n only if the facts do, so facts whose two-neighbour
-    partitions and low-degree members do not add up to p(n) raise
-    ArithmeticError."""
-    facts = spectrum.move_facts(n)
-    covered = facts.interior + sum(map(len, facts.low.values()))
-    if covered != count_partitions(n):
-        raise ArithmeticError(
-            f"move facts of {n} cover {covered} of {count_partitions(n)} partitions"
-        )
-    return facts
-
-
 def ratio_lemma_check(n: int) -> VerificationReport:
     """Strict bounds 1 < H(dn)H(up)/H^2 < 4 at every two-neighbor vertex.
 
@@ -93,9 +74,9 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     each violation with its ratio as a Fraction; a FAIL lists the first ten
     violations in descending order of their conjugate-pair representative,
     λ before λ', as a lexicographic pass over the partitions meets them.
-    The walk must cover every partition of n (see ``_move_facts``).
+    The store checks that the walk covers every partition of n.
     """
-    facts = _move_facts(n)
+    facts = spectrum.move_facts(n)
     violations = facts.violations
     boundary = n == 3 and violations == [((2, 1), Fraction(4))]
     ineq = Inequality(
@@ -104,16 +85,13 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     notes = [f"two-neighbor-vertices={facts.interior}"]
     if boundary:
         notes.append("boundary: 2,1 attains ratio exactly 4")
-        status = PASS
     else:
         notes.extend(
             f"violation {format_partition(v)} ratio {r}" for v, r in violations[:10]
         )
-        status = PASS if not violations else FAIL
     return VerificationReport(
         check="ratio-lemma",
         n=n,
-        status=status,
         inequalities=(ineq,),
         witnesses=tuple(v for v, _r in violations[:10]),
         notes=tuple(notes),
@@ -138,7 +116,7 @@ def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[P
     neighbours, and those partitions in walk order for the classes that
     have any; a report samples the three largest."""
     index_of = {d: i for i, d in enumerate(degrees)}
-    members = {index_of[d]: lams for d, lams in _move_facts(n).low.items()}
+    members = {index_of[d]: lams for d, lams in spectrum.move_facts(n).low.items()}
     return [len(members.get(i, ())) for i in range(len(degrees))], members
 
 
@@ -166,11 +144,9 @@ def low_degree_count_check(n: int, r: int) -> VerificationReport:
         ineqs.append(Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0))
     if r == 2 and sizes[0] == 1:
         ineqs.append(Inequality("second-class-low-degree", low_counts[1], "<=", 2))
-    status = PASS if all(q.holds() for q in ineqs) else FAIL
     return VerificationReport(
         check="low-degree-count",
         n=n,
-        status=status,
         inequalities=tuple(ineqs),
         witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
         notes=(f"r={r}", f"|M_r|={sizes[r - 1]}"),
@@ -190,7 +166,6 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
     return VerificationReport(
         check="near-max-count",
         n=n,
-        status=PASS if ineq.holds() else FAIL,
         inequalities=(ineq,),
         notes=(f"r={r}", f"b_r={degrees[r - 1]}"),
     )
@@ -220,7 +195,6 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
     return VerificationReport(
         check="low-degree-count",
         n=n,
-        status=PASS if all(q.holds() for q in ineqs) else FAIL,
         inequalities=tuple(ineqs),
         witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
         notes=tuple(notes),
@@ -240,7 +214,6 @@ def near_max_count_check_all(n: int) -> VerificationReport:
     return VerificationReport(
         check="near-max-count",
         n=n,
-        status=PASS if ineq.holds() else FAIL,
         inequalities=(ineq,),
         notes=tuple(notes),
     )

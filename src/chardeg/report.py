@@ -4,8 +4,9 @@ A report stores the exact decisive inequalities, so its verdict can always
 be re-derived from the stored values alone.  Statuses:
 
 - pass / fail: the check is required and its recorded inequalities all hold
-  or do not; a verdict with no recorded inequality is refused at
-  construction;
+  or do not.  A report built without a status derives it from them, so a
+  check module records inequalities and never writes a verdict; a verdict
+  with no recorded inequality is refused at construction;
 - informational: outcome recorded, never fails a run (e.g. a check forced
   outside its stated domain);
 - inconclusive: a neighborhood-only method missed although the full-spectrum
@@ -51,12 +52,15 @@ class Inequality:
 class VerificationReport:
     check: str
     n: int
-    status: str
+    status: str | None = None  # None: PASS when every inequality holds, else FAIL
     inequalities: tuple[Inequality, ...] = ()
     witnesses: tuple = ()
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.status is None:
+            verdict = PASS if all(q.holds() for q in self.inequalities) else FAIL
+            object.__setattr__(self, "status", verdict)
         if self.status in (PASS, FAIL) and not self.inequalities:
             raise ValueError(f"{self.check} n={self.n}: {self.status} records no inequality")
 

@@ -32,14 +32,7 @@ from .partitions import (
     lambda_up,
     removable_nodes,
 )
-from .report import (
-    FAIL,
-    INCONCLUSIVE,
-    INFORMATIONAL,
-    PASS,
-    Inequality,
-    VerificationReport,
-)
+from .report import INCONCLUSIVE, INFORMATIONAL, Inequality, VerificationReport
 
 DEFAULT_MAX_N = 60
 MEMBER_CAP = 40
@@ -437,14 +430,24 @@ _move_degrees: dict[Partition, int] = {}
 def _current(n: int, facts: bool = False) -> tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]]:
     """The store for n, built by one sequential walk over the conjugate-pair
     representatives unless it already holds n, with its move facts when
-    ``facts``."""
+    ``facts``.  A verdict read from the facts covers every partition of n
+    only if they do, so facts whose two-neighbour partitions and low-degree
+    members do not add up to p(n) raise ArithmeticError, and the store is
+    left empty."""
     global _store
     held = _store if _store is not None and _store[0] == n else None
     if held is None or (facts and held[1] is None):
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
         moves = MoveFacts() if facts else None
-        _store = (n, moves, _build(n, "SA" if n >= 2 else "S", False, facts=moves))
+        spectra = _build(n, "SA" if n >= 2 else "S", False, facts=moves)
+        if moves is not None:
+            covered = moves.interior + sum(map(len, moves.low.values()))
+            if covered != count_partitions(n):
+                raise ArithmeticError(
+                    f"move facts of {n} cover {covered} of {count_partitions(n)} partitions"
+                )
+        _store = (n, moves, spectra)
     return _store
 
 
@@ -507,7 +510,7 @@ def _dominance(
     return VerificationReport(
         check=check,
         n=n,
-        status=INFORMATIONAL if n < floor else PASS if ineq.holds() else FAIL,
+        status=INFORMATIONAL if n < floor else None,
         inequalities=(ineq,),
         witnesses=spec.maximizers,
         notes=(f"b={spec.b}", f"{top}={spec.m1_size}"),
@@ -537,11 +540,9 @@ def sandwich_check(n: int) -> VerificationReport:
         Inequality("twice-alternating-exceeds-symmetric", 2 * b_a, ">", b_s),
         Inequality("alternating-at-most-symmetric", b_a, "<=", b_s),
     )
-    status = PASS if all(q.holds() for q in ineqs) else FAIL
     return VerificationReport(
         check="sandwich",
         n=n,
-        status=status,
         inequalities=ineqs,
         notes=(f"equality={'true' if b_a == b_s else 'false'}",),
     )
@@ -596,6 +597,13 @@ def _move_mass(members, below: int, target, label: str) -> list[Inequality]:
     ]
 
 
+def _decisive(records: list[Inequality]) -> list[Inequality]:
+    """The records of an either/or proof that decide it: those that hold, or
+    all of them when none does, so the verdict they give is PASS exactly
+    when one holds."""
+    return [q for q in records if q.holds()] or records
+
+
 def induced_bound_check(n: int) -> VerificationReport:
     """Induced-character mass below the relevant top degree, per maximizer.
 
@@ -638,25 +646,20 @@ def induced_bound_check(n: int) -> VerificationReport:
     else:
         notes.append("alternating-branch=not-applicable")
 
-    decisive = []
-    ok = True
-    for hyp, branch in ((hyp_s, s_records), (hyp_a, a_records)):
-        if hyp:
-            held = [q for q in branch if q.holds()]
-            decisive.extend(held or branch)
-            ok = ok and bool(held)
-    if hyp_s or hyp_a:
-        status = PASS if ok else FAIL
-        records = tuple(decisive)
+    active = hyp_s or hyp_a
+    if active:
+        # an active branch is never empty, as it covers the maximizers or
+        # the members of the second class, so PASS needs a held record in each
+        records = [q for hyp, branch in ((hyp_s, s_records), (hyp_a, a_records)) if hyp
+                   for q in _decisive(branch)]
     else:
-        status = INFORMATIONAL
-        records = tuple(s_records + a_records)
+        records = s_records + a_records
     notes.extend(f"observed: {q} -> {q.holds()}" for q in s_records + a_records)
     return VerificationReport(
         check="induced-bound",
         n=n,
-        status=status,
-        inequalities=records,
+        status=None if active else INFORMATIONAL,
+        inequalities=tuple(records),
         witnesses=tuple(witnesses),
         notes=tuple(notes),
     )
@@ -735,22 +738,17 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
             notes.append(f"case=2 (top scanned degree {top}, b(A)={b_a})")
             records = _move_mass((lam,), top, top * top, "sub-top-move-mass")
 
-    held = [q for q in records if q.holds()]
-    if held:
-        status = PASS
-        decisive = tuple(held)
-    else:
-        fallback_holds = (verify_theorem2 if group == "S" else verify_theorem1)(n).passed
-        status = INCONCLUSIVE if fallback_holds else FAIL
-        decisive = tuple(records)
-        if status == INCONCLUSIVE:
-            notes.append("neighborhood scan missed; full-spectrum statement holds at this n")
+    status = None
+    if not any(q.holds() for q in records) and \
+            (verify_theorem2 if group == "S" else verify_theorem1)(n).passed:
+        status = INCONCLUSIVE
+        notes.append("neighborhood scan missed; full-spectrum statement holds at this n")
     notes.extend(f"observed: {q} -> {q.holds()}" for q in records)
     return VerificationReport(
         check=f"move-scan-{group.lower()}",
         n=n,
         status=status,
-        inequalities=decisive,
+        inequalities=tuple(_decisive(records)),
         witnesses=witnesses,
         notes=tuple(notes),
     )
@@ -794,11 +792,9 @@ def epsilon_lower_bounds(n: int) -> VerificationReport:
                 Inequality("a-induction-bound", eps_a, ">=", induction_bound(n, 2 * x + y - 1)),
             ]
         )
-    status = PASS if all(q.holds() for q in ineqs) else FAIL
     return VerificationReport(
         check="epsilon-bounds",
         n=n,
-        status=status,
         inequalities=tuple(ineqs),
         witnesses=s_spec.maximizers,
         notes=tuple(notes),

@@ -120,7 +120,7 @@ def test_criterion_08_graph_structure():
                 assert lambda_dn(a) == b and lambda_up(b) == a, f"n={n}: {a} -> {b}"
             assert lambda_up(comp[0]) is None and lambda_dn(comp[-1]) is None, f"n={n}"
             seen.update(comp)
-        assert len(seen) == graph.vertex_count == count_partitions(n), f"n={n}"
+        assert len(seen) == sum(map(len, graph.components)) == count_partitions(n), f"n={n}"
     verdict(8, "the move graph is a disjoint union of maximal simple paths covering "
                "every partition (n<=40); each path meets a degree class at most twice "
                "because degrees are strictly log-concave along it (criterion 05)")

@@ -570,18 +570,28 @@ class TestReport:
         for status in (PASS, FAIL):
             with pytest.raises(ValueError):
                 VerificationReport(check="theorem2", n=8, status=status)
+        with pytest.raises(ValueError):  # an omitted status derives a verdict
+            VerificationReport(check="theorem2", n=8)
         for status in (INFORMATIONAL, INCONCLUSIVE):
             assert VerificationReport(check="theorem2", n=8, status=status).consistent()
 
     def test_consistent_re_derives_the_verdict(self):
+        # status None is derived: PASS when every inequality holds, else
+        # FAIL; an explicit status is kept as given
         held, missed = Inequality("held", 2, ">", 1), Inequality("missed", 1, ">", 2)
-        for status, ineqs, expected in [
-            (FAIL, (held, missed), True),
-            (FAIL, (held,), False),
-            (PASS, (held,), True),
-            (PASS, (held, missed), False),
+        for status, ineqs, kept, expected in [
+            (FAIL, (held, missed), FAIL, True),
+            (FAIL, (held,), FAIL, False),
+            (PASS, (held,), PASS, True),
+            (PASS, (held, missed), PASS, False),
+            (None, (held,), PASS, True),
+            (None, (held, missed), FAIL, True),
+            (None, (missed,), FAIL, True),
+            (INFORMATIONAL, (missed,), INFORMATIONAL, True),
+            (INCONCLUSIVE, (missed, missed), INCONCLUSIVE, True),
         ]:
             rep = VerificationReport(check="theorem2", n=8, status=status, inequalities=ineqs)
+            assert rep.status == kept, (status, ineqs)
             assert rep.consistent() is expected, (status, ineqs)
 
 
