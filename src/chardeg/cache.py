@@ -3,15 +3,18 @@ their top two classes only and load faster than they build.
 
 One JSON file per (group, n), byte for byte what ``spectrum --format
 json`` prints: ``serialize.spectrum_json`` renders both the entry and
-stdout.  A hit must be that render exactly.  ``serialize.spectrum_from_json``
+stdout.  A hit must be that render exactly.  ``serialize.parse_spectrum_json``
 admits only the text that ``spectrum_json`` writes for the spectrum it
 parses and validates in full, so a hit prints the entry's own text: the
-parse has proved it is the render of the validated spectrum.  The entry is
-read as bytes and decoded as UTF-8 without newline translation, so CRLF
-line ends, another indent or an extra key are misses too.  Any failure to
-read or admit an entry is a miss, and the spectrum is silently recomputed:
+parse has proved it is the render of the validated spectrum.  It builds
+only the top two classes, which keep members, and checks the rest as
+integer columns; ``SpectrumParse.spectrum()`` builds every class for a
+caller that reads them, and a json hit never does.  The entry is read as
+bytes and decoded as UTF-8 without newline translation, so CRLF line ends,
+another indent or an extra key are misses too.  Any failure to read or
+admit an entry is a miss, and the spectrum is silently recomputed:
 another schema or layout, a ``b`` or ``epsilon`` that the classes do not
-give, an identity of ``check_invariants`` broken, a size below 1 or
+give, an identity of ``check_identities`` broken, a size below 1 or
 degrees out of order, or other members than a fresh build.  The cache
 must never change a result.  Positive sizes edited below the top two
 classes still load if they keep the count and the mass, and for S_n
@@ -25,8 +28,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .serialize import spectrum_from_json, spectrum_json
-from .spectrum import DegreeSpectrum, has_built_members
+from .serialize import SpectrumParse, parse_spectrum_json, spectrum_json
+from .spectrum import DegreeSpectrum, gc_paused, has_built_members
 
 
 def cache_path(cache_dir: str | Path, group: str, n: int) -> Path:
@@ -35,16 +38,15 @@ def cache_path(cache_dir: str | Path, group: str, n: int) -> Path:
 
 def load_spectrum(
     cache_dir: str | Path, group: str, n: int
-) -> tuple[DegreeSpectrum, str] | None:
-    """The entry for (group, n) as its validated spectrum and its text, which
-    is ``spectrum_json`` of that spectrum; None for any miss."""
+) -> tuple[SpectrumParse, str] | None:
+    """The entry for (group, n) as its validated parse and its text, which
+    is ``spectrum_json`` of the parse's spectrum; None for any miss.  The
+    parse allocates no reference cycles, so it runs in ``gc_paused``."""
     path = cache_path(cache_dir, group, n)
     try:
-        text = path.read_bytes().decode("utf-8")
-        spec = spectrum_from_json(text, group.upper(), n)
-        if not has_built_members(spec):
-            return None  # a hit must print what a fresh build prints
-        return spec, text
+        with gc_paused():
+            text = path.read_bytes().decode("utf-8")
+            return parse_spectrum_json(text, group.upper(), n), text
     except Exception:  # any entry that cannot be read or admitted: a miss only costs a build
         return None
 

@@ -13,14 +13,24 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import repeat
-from operator import gt
+from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import gt, mul
 
 from .exact import decimal_str
 from .graph import PartitionGraph
 from .partitions import Partition, format_partition, parse_partition
 from .report import VerificationReport
-from .spectrum import DegreeClass, DegreeSpectrum, check_invariants, epsilon, splits
+from .spectrum import (
+    DegreeClass,
+    DegreeSpectrum,
+    check_identities,
+    check_invariants,
+    epsilon,
+    splits,
+    top_epsilon,
+    top_two_built,
+)
 
 SCHEMA_VERSION = 1
 
@@ -85,11 +95,10 @@ def _class_json(c: DegreeClass, alternating: bool) -> str:
     return _CLASS_JSON % (c.degree, c.size, members, tail)
 
 
-def _head_json(spec: DegreeSpectrum) -> str:
-    eps = epsilon(spec)
+def _head_json(n: int, group: str, b: int, eps, members_complete: bool) -> str:
     return _HEAD_JSON % (
-        SCHEMA_VERSION, spec.group, spec.n, spec.b, eps, decimal_str(eps),
-        "true" if spec.members_complete else "false",
+        SCHEMA_VERSION, group, n, b, eps, decimal_str(eps),
+        "true" if members_complete else "false",
     )
 
 
@@ -107,7 +116,8 @@ def spectrum_json(spec: DegreeSpectrum) -> str:
         _class_json(c, alternating) if c.members else _CLASS_JSON % (c.degree, c.size, "[]", bare)
         for c in spec.classes
     ]
-    return "".join((_head_json(spec), ",\n".join(classes), _END_JSON))
+    head = _head_json(spec.n, spec.group, spec.b, epsilon(spec), spec.members_complete)
+    return "".join((head, ",\n".join(classes), _END_JSON))
 
 
 def _pattern(template: str, *fields: str) -> str:
@@ -139,12 +149,30 @@ _BARE_CLASS = {alternating: re.compile(_pattern(template, _COUNT, _COUNT))
 _CLASSES_OPEN = _HEAD_JSON.rsplit("\n  ", 1)[1]  # the header's last line, '"classes": [\n'
 
 
-def spectrum_from_json(text: str, group: str, n: int) -> DegreeSpectrum:
+@dataclass(frozen=True)
+class SpectrumParse:
+    """A spectrum as ``parse_spectrum_json`` validated it: the degrees and
+    sizes of all its classes as integer columns, and the classes that keep
+    members, which come first."""
+
+    n: int
+    group: str
+    kept: tuple[DegreeClass, ...]
+    degrees: list[int]
+    sizes: list[int]
+
+    def spectrum(self) -> DegreeSpectrum:
+        """The spectrum parsed, for a caller that reads its classes."""
+        k = len(self.kept)
+        bare = map(DegreeClass, self.degrees[k:], self.sizes[k:], repeat(()))
+        return DegreeSpectrum(self.n, self.group, self.kept + tuple(bare))
+
+
+def parse_spectrum_json(text: str, group: str, n: int) -> SpectrumParse:
     """The spectrum of ``group`` and ``n`` whose ``spectrum_json`` is
-    ``text``, byte for byte, for a spectrum whose classes that keep members
-    come first, as in every built one.  Any other text raises ValueError;
-    a spectrum that breaks an identity of ``check_invariants`` raises
-    ArithmeticError.
+    ``text``, byte for byte, for a spectrum the cache keeps: one that
+    ``has_built_members``.  Any other text raises ValueError; a spectrum
+    that breaks an identity of ``check_identities`` raises ArithmeticError.
 
     The header and each class that keeps members are parsed, re-rendered
     and compared with their span of the text, so the splits, ``b``,
@@ -153,6 +181,8 @@ def spectrum_from_json(text: str, group: str, n: int) -> DegreeSpectrum:
     scan: each match is one class exactly as rendered, its degree and size
     canonical decimals of at least 1, and the matches must add up to the
     length of their span, which leaves no gap.  Degrees descend strictly.
+    Everything past the classes that keep members is checked on the
+    integer columns, so no other class is built.
     """
     if group not in ("S", "A"):
         raise ValueError(f"unknown group tag {group!r}")
@@ -161,17 +191,14 @@ def spectrum_from_json(text: str, group: str, n: int) -> DegreeSpectrum:
     end = len(text) - len(_END_JSON)
     if end < pos or text[end:] != _END_JSON:
         raise ValueError("not the layout of a spectrum document")
-    classes = []
-    above = None
+    kept = []
     while match := _MEMBER_CLASS.match(text, pos, end):
         sep, degree, size, members = match.groups()
         c = DegreeClass(int(degree), int(size),
                         tuple(parse_partition(t, max_n=n) for t in _MEMBER.findall(members)))
-        if (above is not None and c.degree >= above) or bool(sep) != bool(classes) or \
-                (sep or "") + _class_json(c, alternating) != match[0]:
+        if bool(sep) != bool(kept) or (sep or "") + _class_json(c, alternating) != match[0]:
             raise ValueError(f"class of degree {degree} is not as a build renders it")
-        above = c.degree
-        classes.append(c)
+        kept.append(c)
         pos = match.end()
     # one scan; its matches tile the rest exactly when their lengths, the
     # template's text and the digits filled in, add up to the rest's length
@@ -179,17 +206,25 @@ def spectrum_from_json(text: str, group: str, n: int) -> DegreeSpectrum:
     digits, counts = zip(*found) if found else ((), ())
     covered = (pos - start + len(found) * (len(_BARE_JSON[alternating]) - len("%d%d"))
                + sum(map(len, digits)) + sum(map(len, counts)))
-    degrees = list(map(int, digits))
-    ordered = degrees if above is None else [above] + degrees
-    if not all(map(gt, ordered, ordered[1:])):
-        raise ValueError(f"degrees out of order in {group}_{n}")
-    classes += map(DegreeClass, degrees, map(int, counts), repeat((), len(degrees)))
-    if not classes or covered != end - start:
+    if not kept or covered != end - start:
         raise ValueError("not the layout of a spectrum document")
-    spec = check_invariants(DegreeSpectrum(n, group, tuple(classes)))
-    if _head_json(spec) != text[:start]:
+    kept = tuple(kept)
+    degrees = [c.degree for c in kept]
+    degrees += map(int, digits)
+    sizes = [c.size for c in kept]
+    sizes += map(int, counts)
+    if not all(map(gt, degrees, islice(degrees, 1, None))):
+        raise ValueError(f"degrees out of order in {group}_{n}")
+    check_identities(n, group, sum(sizes), sum(map(mul, sizes, degrees)),
+                     sum(map(mul, map(mul, sizes, degrees), degrees)))
+    if len(kept) != min(2, len(degrees)) or not top_two_built(n, group, kept):
+        raise ValueError(f"members are not the ones a build of {group}_{n} keeps")
+    # the kept classes are complete, so all are when no class keeps none
+    b, m1 = degrees[0], sizes[0]
+    head = _head_json(n, group, b, top_epsilon(n, group, b, m1), len(kept) == len(degrees))
+    if head != text[:start]:
         raise ValueError("header is not the one the classes give")
-    return spec
+    return SpectrumParse(n, group, kept, degrees, sizes)
 
 
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import gc
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
@@ -94,30 +94,29 @@ class DegreeSpectrum:
         return self.classes[0].members
 
     def group_order(self) -> int:
-        if self.group == "S":
-            return factorial(self.n)
-        return factorial(self.n) // 2 if self.n >= 2 else 1
+        return group_order_of(self.n, self.group)
 
     def sum_squares_below_top(self) -> int:
         return self.group_order() - self.m1_size * self.b * self.b
 
 
-def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
-    """Return ``spec`` after checking identities that need no hook formula,
-    as every built or loaded spectrum must: Σ size·d² = |G|; for S_n also
-    Σ size = p(n) and Σ size·d = t(n), the involutions, since every
-    character is real with indicator 1; for A_n also 2·Σ size = p(n) +
-    3·sc(n), as a self-conjugate partition gives two characters.  Raise
-    ArithmeticError on the first that fails."""
-    n = spec.n
-    count = first = mass = 0
-    for c in spec.classes:
-        count += c.size
-        sd = c.size * c.degree
-        first += sd
-        mass += sd * c.degree
-    identities = [("degree mass", mass, spec.group_order())]
-    if spec.group == "S":
+def group_order_of(n: int, group: str) -> int:
+    """|S_n|, or |A_n| for group "A"."""
+    if group == "S":
+        return factorial(n)
+    return factorial(n) // 2 if n >= 2 else 1
+
+
+def check_identities(n: int, group: str, count: int, first: int, mass: int) -> None:
+    """Check the identities that need no hook formula on the sums of a
+    spectrum of ``group`` and n, as every built or loaded spectrum must:
+    ``count`` = Σ size, ``first`` = Σ size·d and ``mass`` = Σ size·d².  The
+    mass is |G|; for S_n also the count is p(n) and ``first`` is t(n), the
+    involutions, since every character is real with indicator 1; for A_n
+    also 2·count = p(n) + 3·sc(n), as a self-conjugate partition gives two
+    characters.  Raise ArithmeticError on the first that fails."""
+    identities = [("degree mass", mass, group_order_of(n, group))]
+    if group == "S":
         t = [1, 1]  # t(k) = t(k-1) + (k-1)·t(k-2)
         for k in range(2, n + 1):
             t.append(t[-1] + (k - 1) * t[-2])
@@ -132,7 +131,19 @@ def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
                            count_partitions(n) + 3 * sc[n]))
     for name, got, want in identities:
         if got != want:
-            raise ArithmeticError(f"{name} mismatch for {spec.group}_{n}: {got} != {want}")
+            raise ArithmeticError(f"{name} mismatch for {group}_{n}: {got} != {want}")
+
+
+def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
+    """Return ``spec`` after ``check_identities`` on its sums, which one
+    loop over its classes gathers."""
+    count = first = mass = 0
+    for c in spec.classes:
+        count += c.size
+        sd = c.size * c.degree
+        first += sd
+        mass += sd * c.degree
+    check_identities(spec.n, spec.group, count, first, mass)
     return spec
 
 
@@ -321,6 +332,32 @@ def _spectrum(
     return check_invariants(DegreeSpectrum(n, group, tuple(out)))
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on the first call:
+    only ``spectrum`` above MEMBER_CAP with two or more workers starts a
+    pool, and the import costs every other process time and memory.
+    ``_build`` looks this name up when it starts the pool, so rebinding it
+    reaches the pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for a pass that allocates many
+    objects and no reference cycles, and restore its previous state after,
+    also when the pass raises.  The walk, the merge of a pool's shards and
+    the cache's parse run inside it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def pool_size(threads: int, shards: int, cpus: int | None) -> int:
     """Worker processes for ``shards`` tasks: never more than requested,
     than there are shards, or than ``cpus`` (os.cpu_count(), None if
@@ -336,12 +373,10 @@ def _build(
     more workers, else from one sequential walk that also fills ``facts``
     when given.  Classes keep every member with ``all_members``, else only
     those of the top two classes.  The walk allocates no reference cycles,
-    so the cyclic garbage collector is paused while it runs."""
+    so it runs in ``gc_paused``."""
     ones = range((n + 1) // 2)  # 1^t needs a first part of at least t + 1
     workers = pool_size(threads, len(ones), os.cpu_count())
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         if workers > 1 and n > MEMBER_CAP:
             # each shard keeps its own top two degrees, so merging keeps the
             # global top two; shards are merged, and dropped, as they arrive
@@ -360,9 +395,6 @@ def _build(
         else:
             classes = _pair_shard(n, ones, groups, all_members, facts)
         return {g: _spectrum(n, g, *classes[g]) for g in groups}
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _check_n(n: int, lo: int, max_n: int) -> None:
@@ -393,25 +425,29 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     """True when ``spec`` is a spectrum above MEMBER_CAP, the only ones the
     cache keeps, and stores the members that ``spectrum_sn`` and
     ``spectrum_an`` store for it: those of the top two classes, which the
-    checks read, and no others.
+    checks read, and no others."""
+    return not any(c.members for c in spec.classes[2:]) and \
+        top_two_built(spec.n, spec.group, spec.classes[:2])
+
+
+def top_two_built(n: int, group: str, top: tuple[DegreeClass, ...]) -> bool:
+    """True when n is above MEMBER_CAP and ``top``, the top two classes of a
+    spectrum of ``group`` and n (its only class when it has one), list a
+    member for each of their characters.
 
     Every member must be a partition of n, listed strictly descending in
     its class, and must give back its class degree from its hook product,
     which keeps it out of the other class; in A_n it is also the larger
     partition of its conjugate pair.
     """
-    n, group = spec.n, spec.group
-    if n <= MEMBER_CAP:
+    if n <= MEMBER_CAP or not all(complete(group, c) for c in top):
         return False
-    kept, rest = spec.classes[:2], spec.classes[2:]
-    if not all(complete(group, c) for c in kept) or any(c.members for c in rest):
+    if any(a <= b for c in top for a, b in zip(c.members, c.members[1:])):
         return False
-    if any(a <= b for c in kept for a, b in zip(c.members, c.members[1:])):
-        return False
-    if any(sum(lam) != n for c in kept for lam in c.members):
+    if any(sum(lam) != n for c in top for lam in c.members):
         return False
     fact = factorial(n)
-    for c in kept:
+    for c in top:
         for lam, chars in zip(c.members, splits(group, c)):
             if group == "A" and lam < conjugate(lam):
                 return False
@@ -477,7 +513,13 @@ def clear_spectrum_cache() -> None:
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:
     """Sum of squared degrees strictly below the top degree, over its square."""
-    return Fraction(spec.sum_squares_below_top(), spec.b * spec.b)
+    return top_epsilon(spec.n, spec.group, spec.b, spec.m1_size)
+
+
+def top_epsilon(n: int, group: str, b: int, m1: int) -> Fraction:
+    """``epsilon`` of a spectrum of ``group`` and n whose top degree b has
+    m1 characters, from the degree mass |G|."""
+    return Fraction(group_order_of(n, group) - m1 * b * b, b * b)
 
 
 def spectrum_xy(n: int) -> tuple[int, int]:

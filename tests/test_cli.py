@@ -1,5 +1,6 @@
 """Command-line surface: formats, cache behavior, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import random
@@ -10,12 +11,14 @@ import pytest
 
 import chardeg
 from chardeg import (
+    cache,
     cli,
     conjugate,
     count_partitions,
     enumerate_partitions,
     graph,
     partitions,
+    serialize,
     spectrum,
 )
 from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
@@ -23,12 +26,12 @@ from chardeg.hooks import degree_sn
 from chardeg.partitions import parse_partition
 from chardeg.serialize import (
     json_text,
+    parse_spectrum_json,
     spectrum_from_doc,
-    spectrum_from_json,
     spectrum_json,
     spectrum_to_doc,
 )
-from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
+from chardeg.spectrum import DegreeClass, has_built_members, spectrum_an, spectrum_sn
 
 
 def md5(text):
@@ -200,11 +203,17 @@ class TestSpectrumJson:
 
     @pytest.mark.parametrize(("build", "lowest"), [(spectrum_sn, 1), (spectrum_an, 2)])
     def test_parser_inverts_the_render(self, monkeypatch, build, lowest):
-        # every class keeps members up to the cap, and only the top two above it
+        # every class keeps members up to the cap, and only the top two above
+        # it; the parse admits only what the cache keeps, the spectra above it
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 9)
         for n in range(lowest, 15):
             spec = build(n)
-            assert spectrum_from_json(spectrum_json(spec), spec.group, n) == spec, n
+            text = spectrum_json(spec)
+            if n <= 9:
+                with pytest.raises(ValueError, match="^members are not the ones"):
+                    parse_spectrum_json(text, spec.group, n)
+            else:
+                assert parse_spectrum_json(text, spec.group, n).spectrum() == spec, n
 
     @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
     def test_entries_keep_the_layout_json_text_writes(self, monkeypatch, build):
@@ -230,7 +239,8 @@ def loaded(cache_dir, group, n):
     hit = load_spectrum(cache_dir, group, n)
     if hit is None:
         return None
-    spec, text = hit
+    parse, text = hit
+    spec = parse.spectrum()
     assert text == spectrum_json(spec)
     return spec
 
@@ -383,6 +393,32 @@ def sizes_moved(moves):
     return edit
 
 
+def entry_reindented(path):
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+
+
+def entry_breaks_the_count(path):
+    """S_12 only: the mass is kept, the character count is not."""
+    edit_entry(path, sizes_moved({4455: -1, 3564: 1, 2673: 1}))
+
+
+def entry_has_a_wrong_member(path):
+    edit_entry(path, top_member_reads_n)
+
+
+def entry_is_a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.fixture
+def gc_state():
+    """Set the collector's state for a test and restore it afterwards."""
+    was = gc.isenabled()
+    yield {True: gc.enable, False: gc.disable}
+    (gc.enable if was else gc.disable)()
+
+
 class TestCache:
     @pytest.fixture(autouse=True)
     def member_cap_5(self, monkeypatch):
@@ -526,8 +562,8 @@ class TestCache:
         for group, n in (("S", 11), ("A", 11)):
             spec = spectrum_sn(n) if group == "S" else spectrum_an(n)
             store_spectrum(tmp_path, spec)
-            spec_read, text = load_spectrum(tmp_path, group, n)
-            assert spec_read == spec
+            parse, text = load_spectrum(tmp_path, group, n)
+            assert parse.spectrum() == spec
             assert text == spectrum_json(spec) == cache_path(tmp_path, group, n).read_text()
 
     def test_corrupt_cache_recomputed(self, capsys, tmp_path):
@@ -662,8 +698,44 @@ class TestCache:
             hit = load_spectrum(tmp_path, spec.group, 12)
             if hit is not None:
                 hits += 1
-                assert hit[1] == spectrum_json(hit[0]) == edited.decode("utf-8")
+                assert hit[1] == spectrum_json(hit[0].spectrum()) == edited.decode("utf-8")
         assert hits == 0
+
+    # what the parse saw: the collector paused, then the error of the miss;
+    # an unreadable entry is a miss before any parse
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        ("edit", "parsed"),
+        [
+            (None, [False]),
+            (entry_reindented, [False, ValueError]),
+            (entry_breaks_the_count, [False, ArithmeticError]),
+            (entry_has_a_wrong_member, [False, ValueError]),
+            (entry_is_a_directory, []),
+        ],
+        ids=["hit", "layout", "identity", "member", "unreadable"],
+    )
+    def test_load_pauses_and_restores_the_collector(self, tmp_path, monkeypatch, gc_state,
+                                                    enabled, edit, parsed):
+        path = store_spectrum(tmp_path, spectrum_sn(12))
+        if edit is not None:
+            edit(path)
+        seen = []
+
+        def spied(*args):
+            seen.append(gc.isenabled())
+            try:
+                return parse_spectrum_json(*args)
+            except Exception as exc:
+                seen.append(type(exc))
+                raise
+
+        monkeypatch.setattr(cache, "parse_spectrum_json", spied)
+        gc_state[enabled]()
+        hit = load_spectrum(tmp_path, "S", 12)
+        assert gc.isenabled() is enabled
+        assert (hit is None) is (edit is not None)
+        assert seen == parsed
 
 
 class TestCacheAtTheMemberCap:
@@ -736,12 +808,35 @@ class TestCacheAtTheMemberCap:
                                "--cache-dir", str(tmp_path))
             assert code == 0 and md5(out) == md5(expected), fmt
 
+    @pytest.mark.parametrize("group", ["s", "a"])
+    def test_json_hit_builds_only_the_member_classes(self, capsys, tmp_path, monkeypatch,
+                                                     group):
+        argv = ("spectrum", "--n", "41", "--group", group)
+        plain = {fmt: run(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "csv", "text")}
+        spec = (spectrum_sn if group == "s" else spectrum_an)(41)
+        store_spectrum(tmp_path, spec)
+        built = Counter()
+
+        def counted(*args):
+            built[fmt] += 1
+            return DegreeClass(*args)
+
+        monkeypatch.setattr(serialize, "DegreeClass", counted)
+        for name in ("spectrum_sn", "spectrum_an", "spectrum_json"):  # a miss would build
+            monkeypatch.setattr(cli, name, None)
+        for fmt, expected in plain.items():
+            code, out, _ = run(capsys, *argv, "--format", fmt, "--cache-dir", str(tmp_path))
+            assert code == 0 and md5(out) == md5(expected), fmt
+        # json prints the entry's text; csv and text render one spectrum
+        assert built == {"json": 2, "csv": len(spec.classes), "text": len(spec.classes)}
+
     @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
     def test_round_trip_of_built_entries(self, tmp_path, build):
         for n in range(41, 46):
             spec = build(n)
             store_spectrum(tmp_path, spec)
-            assert load_spectrum(tmp_path, spec.group, n) == (spec, spectrum_json(spec)), n
+            parse, text = load_spectrum(tmp_path, spec.group, n)
+            assert (parse.spectrum(), text) == (spec, spectrum_json(spec)), n
 
 
     def test_swapped_lower_classes_are_a_miss(self, capsys, tmp_path):

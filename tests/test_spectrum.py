@@ -283,6 +283,37 @@ class TestDegreeTable:
         assert during == [False] * len(SEQUENTIAL_BUILDS)  # each walk ran paused
         assert spectrum._store is None
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_paused_restores_the_state_it_found(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with spectrum.gc_paused():
+                assert not gc.isenabled()
+            assert gc.isenabled() is enabled
+            with pytest.raises(ArithmeticError), spectrum.gc_paused():
+                raise ArithmeticError("the pass failed")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_restores_gc_when_a_pool_shard_raises(self, monkeypatch):
+        # the shards are merged as they arrive, with the collector paused
+        during = []
+
+        def broken(*args):
+            during.append(gc.isenabled())
+            raise ArithmeticError("a shard failed")
+
+        monkeypatch.setattr(spectrum, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(spectrum, "MEMBER_CAP", 0)
+        monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(spectrum, "_pair_shard", broken)
+        assert gc.isenabled()
+        with pytest.raises(ArithmeticError, match="a shard failed"):
+            spectrum_sn(12, threads=2)
+        assert gc.isenabled() and during == [False]
+
     def test_guards(self):
         with pytest.raises(ValueError):
             move_facts(0)

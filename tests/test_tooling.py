@@ -64,6 +64,43 @@ def test_tracer_counts_cache_traffic(tmp_path):
     assert warm["cache.bytes_read"] == size and warm["cache.bytes_written"] == 0
 
 
+def test_importing_the_cli_leaves_the_pool_unimported():
+    # only spectrum above the member cap with two or more workers starts a
+    # pool, so concurrent.futures is imported when the first pool starts
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chardeg.cli; print('concurrent.futures' in sys.modules)"],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool of 2 needs 2 CPUs")
+def test_tracer_counts_pool_workers(tmp_path):
+    # the tracer rebinds spectrum.ProcessPoolExecutor, which _build looks up
+    # when it starts the pool
+    out = tmp_path / "trace.json"
+    env = {k: v for k, v in os.environ.items() if k != "CHARDEG_CACHE_DIR"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/tracer.py", str(out), "--", "spectrum", "--n", "41",
+         "--threads", "2", "--format", "json"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == "36e4461473a5b268ce5dd918dfad88b2"
+    assert json.loads(out.read_text())["counts"]["spectrum.pool_workers"] == 2
+
+
 @pytest.mark.parametrize("workload", ["paper-sweep", "spectrum-50"])
 def test_benchmark_smoke_run(tmp_path, workload):
     # a copy of the tree, so the run's results land under tmp_path; with
