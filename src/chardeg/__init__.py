@@ -51,7 +51,6 @@ from .graph import (
 from .report import Inequality, VerificationReport
 from .spectrum import (
     BranchDecomposition,
-    DegreeClass,
     DegreeSpectrum,
     branch_decompose,
     cached_spectrum,

@@ -5,19 +5,20 @@ One JSON file per (group, n), byte for byte what ``spectrum --format
 json`` prints: ``serialize.spectrum_json`` renders both the entry and
 stdout.  A hit must be that render exactly.  ``serialize.parse_spectrum_json``
 admits only the text that ``spectrum_json`` writes for the spectrum it
-parses and validates in full, so a hit prints the entry's own text: the
-parse has proved it is the render of the validated spectrum.  It builds
-only the top two classes, which keep members, and checks the rest as
-integer columns; ``SpectrumParse.spectrum()`` builds every class for a
-caller that reads them, and a json hit never does.  The entry is read as
-bytes and decoded as UTF-8 without newline translation, so CRLF line ends,
-another indent or an extra key are misses too.  Any failure to read or
-admit an entry is a miss, and the spectrum is silently recomputed:
-another schema or layout, a ``b`` or ``epsilon`` that the classes do not
-give, an identity of ``check_identities`` broken, a size below 1 or
-degrees out of order, or other members than a fresh build.  The cache
-must never change a result.  Positive sizes edited below the top two
-classes still load if they keep the count and the mass, and for S_n
+parses and validates in full, and returns that spectrum: the same
+``DegreeSpectrum`` a build returns, degree and size columns and the top
+two classes' members.  So a hit serves every format from one value, and
+``--format json`` prints the entry's own text, which the parse has proved
+to be the render of that spectrum.  The entry is read as bytes and
+decoded as UTF-8 without newline translation, so CRLF line ends, another
+indent or an extra key are misses too.  Any failure to read or admit an
+entry is a miss, and the spectrum is silently recomputed: another schema
+or layout, a ``b`` or ``epsilon`` that the classes do not give, an
+identity of ``check_invariants`` broken, a size below 1 or degrees out of
+order, or other members than ``has_built_members`` allows, the one rule
+for what the cache keeps, which ``store_spectrum`` applies too.  The
+cache must never change a result.  Positive sizes edited below the top
+two classes still load if they keep the count and the mass, and for S_n
 Σ size·degree too; only a full pass could catch them.  Writes go through
 ``write_atomic``, a temp file and an atomic rename, which ``scan`` uses
 for its CSV as well.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .serialize import SpectrumParse, parse_spectrum_json, spectrum_json
+from .serialize import parse_spectrum_json, spectrum_json
 from .spectrum import DegreeSpectrum, gc_paused, has_built_members
 
 
@@ -38,9 +39,9 @@ def cache_path(cache_dir: str | Path, group: str, n: int) -> Path:
 
 def load_spectrum(
     cache_dir: str | Path, group: str, n: int
-) -> tuple[SpectrumParse, str] | None:
-    """The entry for (group, n) as its validated parse and its text, which
-    is ``spectrum_json`` of the parse's spectrum; None for any miss.  The
+) -> tuple[DegreeSpectrum, str] | None:
+    """The entry for (group, n) as its validated spectrum and its text,
+    which is ``spectrum_json`` of that spectrum; None for any miss.  The
     parse allocates no reference cycles, so it runs in ``gc_paused``."""
     path = cache_path(cache_dir, group, n)
     try:

@@ -164,8 +164,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         cache_dir = None  # here a load is no faster than a build
     hit = load_spectrum(cache_dir, group, args.n) if cache_dir else None
     if hit is not None:
-        parse, text = hit  # the load proved text is spectrum_json(parse.spectrum())
-        spec = None if args.fmt == "json" else parse.spectrum()  # json prints the text
+        spec, text = hit  # the load proved text is spectrum_json(spec)
     else:
         builder = spectrum_sn if group == "S" else spectrum_an
         spec = builder(args.n, threads=args.threads, max_n=args.max_n)

@@ -98,7 +98,7 @@ def ratio_lemma_check(n: int) -> VerificationReport:
     )
 
 
-def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
+def _class_sizes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     """(degrees, sizes, prefix) of the S_n classes, indexed 0-based in
     decreasing degree order; prefix[r] counts the characters of strictly
     larger degree than class r.  The counting bounds are stated for n >= 5,
@@ -106,12 +106,10 @@ def _class_sizes(n: int) -> tuple[list[int], list[int], list[int]]:
     if n < 5:
         raise ValueError("counting checks need n >= 5")
     spec = spectrum.cached_spectrum("S", n)
-    degrees = [c.degree for c in spec.classes]
-    sizes = [c.size for c in spec.classes]
-    return degrees, sizes, [0, *accumulate(sizes)]
+    return spec.degrees, spec.sizes, [0, *accumulate(spec.sizes)]
 
 
-def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[Partition]]]:
+def _low_degree(n: int, degrees: tuple[int, ...]) -> tuple[list[int], dict[int, list[Partition]]]:
     """Per class, the number of its partitions with fewer than two move
     neighbours, and those partitions in walk order for the classes that
     have any; a report samples the three largest."""
@@ -120,7 +118,7 @@ def _low_degree(n: int, degrees: list[int]) -> tuple[list[int], dict[int, list[P
     return [len(members.get(i, ())) for i in range(len(degrees))], members
 
 
-def _in_range(degrees: list[int], prefix: list[int]) -> list[int]:
+def _in_range(degrees: tuple[int, ...], prefix: list[int]) -> list[int]:
     """in_range[r] = characters with degree strictly between b_r/4 and b_r."""
     in_range = []
     t = 0  # first class with 4*degree <= b_r

@@ -13,23 +13,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import gt, mul
+from itertools import islice, zip_longest
+from operator import gt
 
 from .exact import decimal_str
 from .graph import PartitionGraph
 from .partitions import Partition, format_partition, parse_partition
 from .report import VerificationReport
 from .spectrum import (
-    DegreeClass,
     DegreeSpectrum,
-    check_identities,
     check_invariants,
     epsilon,
+    has_built_members,
     splits,
-    top_epsilon,
-    top_two_built,
 )
 
 SCHEMA_VERSION = 1
@@ -47,17 +43,23 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _classes(spec: DegreeSpectrum):
+    """(degree, size, members) per class, largest degree first; a class
+    past the leading ones that keep members has none."""
+    return zip_longest(spec.degrees, spec.sizes, spec.members, fillvalue=())
+
+
 def spectrum_to_doc(spec: DegreeSpectrum) -> dict:
     eps = epsilon(spec)
     classes = []
-    for c in spec.classes:
+    for degree, size, members in _classes(spec):
         entry = {
-            "degree": str(c.degree),
-            "size": c.size,
-            "members": [format_partition(p) for p in c.members],
+            "degree": str(degree),
+            "size": size,
+            "members": [format_partition(p) for p in members],
         }
         if spec.group == "A":
-            entry["splits"] = list(splits("A", c))
+            entry["splits"] = list(splits("A", members))
         classes.append(entry)
     return {
         "schema": SCHEMA_VERSION,
@@ -86,20 +88,20 @@ def _json_list(items: list[str]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _class_json(c: DegreeClass, alternating: bool) -> str:
-    """A class that keeps members, as ``indent=2`` lays it out."""
-    members = _json_list(['"%s"' % format_partition(p) for p in c.members])
+def _class_json(group: str, degree: int, size: int, members: tuple[Partition, ...]) -> str:
+    """A class of ``group`` that keeps members, as ``indent=2`` lays it out."""
+    listed = _json_list(['"%s"' % format_partition(p) for p in members])
     tail = ""
-    if alternating:
-        tail = ',\n      "splits": ' + _json_list([str(s) for s in splits("A", c)])
-    return _CLASS_JSON % (c.degree, c.size, members, tail)
+    if group == "A":
+        tail = ',\n      "splits": ' + _json_list([str(s) for s in splits("A", members)])
+    return _CLASS_JSON % (degree, size, listed, tail)
 
 
-def _head_json(n: int, group: str, b: int, eps, members_complete: bool) -> str:
-    return _HEAD_JSON % (
-        SCHEMA_VERSION, group, n, b, eps, decimal_str(eps),
-        "true" if members_complete else "false",
-    )
+def _head_json(spec: DegreeSpectrum) -> str:
+    """The document's text before its classes."""
+    eps = epsilon(spec)
+    return _HEAD_JSON % (SCHEMA_VERSION, spec.group, spec.n, spec.b, eps, decimal_str(eps),
+                         "true" if spec.members_complete else "false")
 
 
 def spectrum_json(spec: DegreeSpectrum) -> str:
@@ -110,14 +112,13 @@ def spectrum_json(spec: DegreeSpectrum) -> str:
     gives the ``indent=2`` layout without the pure-Python JSON encoder.
     ``spectrum_to_doc`` stays the reference that the tests compare with.
     """
-    alternating = spec.group == "A"
-    bare = _BARE_SPLITS if alternating else ""
+    bare = _BARE_SPLITS if spec.group == "A" else ""
     classes = [
-        _class_json(c, alternating) if c.members else _CLASS_JSON % (c.degree, c.size, "[]", bare)
-        for c in spec.classes
+        _class_json(spec.group, degree, size, members) if members
+        else _CLASS_JSON % (degree, size, "[]", bare)
+        for degree, size, members in _classes(spec)
     ]
-    head = _head_json(spec.n, spec.group, spec.b, epsilon(spec), spec.members_complete)
-    return "".join((head, ",\n".join(classes), _END_JSON))
+    return "".join((_head_json(spec), ",\n".join(classes), _END_JSON))
 
 
 def _pattern(template: str, *fields: str) -> str:
@@ -149,107 +150,86 @@ _BARE_CLASS = {alternating: re.compile(_pattern(template, _COUNT, _COUNT))
 _CLASSES_OPEN = _HEAD_JSON.rsplit("\n  ", 1)[1]  # the header's last line, '"classes": [\n'
 
 
-@dataclass(frozen=True)
-class SpectrumParse:
-    """A spectrum as ``parse_spectrum_json`` validated it: the degrees and
-    sizes of all its classes as integer columns, and the classes that keep
-    members, which come first."""
-
-    n: int
-    group: str
-    kept: tuple[DegreeClass, ...]
-    degrees: list[int]
-    sizes: list[int]
-
-    def spectrum(self) -> DegreeSpectrum:
-        """The spectrum parsed, for a caller that reads its classes."""
-        k = len(self.kept)
-        bare = map(DegreeClass, self.degrees[k:], self.sizes[k:], repeat(()))
-        return DegreeSpectrum(self.n, self.group, self.kept + tuple(bare))
-
-
-def parse_spectrum_json(text: str, group: str, n: int) -> SpectrumParse:
+def parse_spectrum_json(text: str, group: str, n: int) -> DegreeSpectrum:
     """The spectrum of ``group`` and ``n`` whose ``spectrum_json`` is
     ``text``, byte for byte, for a spectrum the cache keeps: one that
     ``has_built_members``.  Any other text raises ValueError; a spectrum
-    that breaks an identity of ``check_identities`` raises ArithmeticError.
+    that breaks an identity of ``check_invariants`` raises ArithmeticError.
 
-    The header and each class that keeps members are parsed, re-rendered
-    and compared with their span of the text, so the splits, ``b``,
-    ``epsilon``, ``epsilon_decimal`` and ``members_complete`` are the ones
-    the classes give.  The classes that keep none are read by one regex
-    scan: each match is one class exactly as rendered, its degree and size
-    canonical decimals of at least 1, and the matches must add up to the
-    length of their span, which leaves no gap.  Degrees descend strictly.
-    Everything past the classes that keep members is checked on the
-    integer columns, so no other class is built.
+    Each class that keeps members is parsed, re-rendered and compared with
+    its span of the text, so its splits are the ones its members give.  The
+    classes that keep none are read by one regex scan: each match is one
+    class exactly as rendered, its degree and size canonical decimals of at
+    least 1, and the matches must add up to the length of their span, which
+    leaves no gap.  Degrees descend strictly.  The header is re-rendered
+    from the spectrum, so ``b``, ``epsilon``, ``epsilon_decimal`` and
+    ``members_complete`` are the ones the classes give.
     """
     if group not in ("S", "A"):
         raise ValueError(f"unknown group tag {group!r}")
-    alternating = group == "A"
     start = pos = text.index(_CLASSES_OPEN) + len(_CLASSES_OPEN)
     end = len(text) - len(_END_JSON)
     if end < pos or text[end:] != _END_JSON:
         raise ValueError("not the layout of a spectrum document")
-    kept = []
+    degrees, sizes, kept = [], [], []
     while match := _MEMBER_CLASS.match(text, pos, end):
-        sep, degree, size, members = match.groups()
-        c = DegreeClass(int(degree), int(size),
-                        tuple(parse_partition(t, max_n=n) for t in _MEMBER.findall(members)))
-        if bool(sep) != bool(kept) or (sep or "") + _class_json(c, alternating) != match[0]:
+        sep, degree, size, listed = match.groups()
+        degree, size = int(degree), int(size)
+        members = tuple(parse_partition(t, max_n=n) for t in _MEMBER.findall(listed))
+        rendered = (sep or "") + _class_json(group, degree, size, members)
+        if bool(sep) != bool(kept) or rendered != match[0]:
             raise ValueError(f"class of degree {degree} is not as a build renders it")
-        kept.append(c)
+        degrees.append(degree)
+        sizes.append(size)
+        kept.append(members)
         pos = match.end()
     # one scan; its matches tile the rest exactly when their lengths, the
     # template's text and the digits filled in, add up to the rest's length
+    alternating = group == "A"
     found = _BARE_CLASS[alternating].findall(text, pos, end)
     digits, counts = zip(*found) if found else ((), ())
     covered = (pos - start + len(found) * (len(_BARE_JSON[alternating]) - len("%d%d"))
                + sum(map(len, digits)) + sum(map(len, counts)))
     if not kept or covered != end - start:
         raise ValueError("not the layout of a spectrum document")
-    kept = tuple(kept)
-    degrees = [c.degree for c in kept]
-    degrees += map(int, digits)
-    sizes = [c.size for c in kept]
-    sizes += map(int, counts)
+    degrees = (*degrees, *map(int, digits))
+    sizes = (*sizes, *map(int, counts))
     if not all(map(gt, degrees, islice(degrees, 1, None))):
         raise ValueError(f"degrees out of order in {group}_{n}")
-    check_identities(n, group, sum(sizes), sum(map(mul, sizes, degrees)),
-                     sum(map(mul, map(mul, sizes, degrees), degrees)))
-    if len(kept) != min(2, len(degrees)) or not top_two_built(n, group, kept):
+    spec = check_invariants(DegreeSpectrum(n, group, degrees, sizes, tuple(kept)))
+    if not has_built_members(spec):
         raise ValueError(f"members are not the ones a build of {group}_{n} keeps")
-    # the kept classes are complete, so all are when no class keeps none
-    b, m1 = degrees[0], sizes[0]
-    head = _head_json(n, group, b, top_epsilon(n, group, b, m1), len(kept) == len(degrees))
-    if head != text[:start]:
+    if _head_json(spec) != text[:start]:
         raise ValueError("header is not the one the classes give")
-    return SpectrumParse(n, group, kept, degrees, sizes)
+    return spec
 
 
 def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
     """Rebuild a spectrum from its document, re-validating positive sizes,
-    strictly descending degrees, the splits and ``members_complete`` that its
-    members give, ``b`` and ``epsilon`` (ValueError), and
-    ``check_invariants`` (ArithmeticError)."""
+    strictly descending degrees, members only in leading classes, the splits
+    and ``members_complete`` that its members give, ``b`` and ``epsilon``
+    (ValueError), and ``check_invariants`` (ArithmeticError)."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     group = doc["group"]
     if group not in ("S", "A"):
         raise ValueError(f"unknown group tag {group!r}")
     n = int(doc["n"])
-    classes = []
-    above = None
+    degrees, sizes, kept = [], [], []
     for entry in doc["classes"]:
+        degree, size = int(entry["degree"]), int(entry["size"])
         members = tuple(parse_partition(t, max_n=n) for t in entry["members"])
-        c = DegreeClass(int(entry["degree"]), int(entry["size"]), members)
-        if c.size < 1 or (above is not None and c.degree >= above):
+        if size < 1 or (degrees and degree >= degrees[-1]):
             raise ValueError(f"class sizes or degree order wrong in document for {group}_{n}")
-        if group == "A" and entry["splits"] != (list(splits("A", c)) if members else []):
+        if group == "A" and entry["splits"] != list(splits("A", members)):
             raise ValueError("member splits disagree with the members")
-        above = c.degree
-        classes.append(c)
-    spec = check_invariants(DegreeSpectrum(n, group, tuple(classes)))
+        if members:
+            if len(kept) < len(degrees):
+                raise ValueError("members of a class below one that keeps none")
+            kept.append(members)
+        degrees.append(degree)
+        sizes.append(size)
+    spec = check_invariants(DegreeSpectrum(n, group, tuple(degrees), tuple(sizes), tuple(kept)))
     if str(spec.b) != doc["b"]:
         raise ValueError("top degree disagrees with document")
     eps = epsilon(spec)
@@ -262,9 +242,9 @@ def spectrum_from_doc(doc: dict) -> DegreeSpectrum:
 
 def spectrum_to_csv(spec: DegreeSpectrum) -> str:
     lines = ["degree,multiplicity,members,splits"]
-    for c in spec.classes:
-        counts = ";".join(str(s) for s in splits("A", c)) if spec.group == "A" else ""
-        lines.append(f"{c.degree},{c.size},{csv_partition_list(c.members)},{counts}")
+    for degree, size, members in _classes(spec):
+        counts = ";".join(str(s) for s in splits("A", members)) if spec.group == "A" else ""
+        lines.append(f"{degree},{size},{csv_partition_list(members)},{counts}")
     eps = epsilon(spec)
     lines.append(f"epsilon,{eps},{decimal_str(eps)},")
     return "\n".join(lines) + "\n"
@@ -274,18 +254,18 @@ def spectrum_to_text(spec: DegreeSpectrum) -> str:
     eps = epsilon(spec)
     lines = [
         f"group: {spec.group}_{spec.n}",
-        f"distinct degrees: {len(spec.classes)}",
+        f"distinct degrees: {len(spec.degrees)}",
         f"b: {spec.b}",
         f"top multiplicity: {spec.m1_size}",
         f"epsilon: {eps} ({decimal_str(eps)})",
     ]
-    for c in spec.classes:
-        members = "; ".join(
+    for degree, size, members in _classes(spec):
+        listed = "; ".join(
             f"{format_partition(p)}(x{s})" if s > 1 else format_partition(p)
-            for p, s in zip(c.members, splits(spec.group, c))
+            for p, s in zip(members, splits(spec.group, members))
         )
-        suffix = f"  [{members}]" if members else ""
-        lines.append(f"  {c.degree} x{c.size}{suffix}")
+        suffix = f"  [{listed}]" if listed else ""
+        lines.append(f"  {degree} x{size}{suffix}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,8 +16,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, prod
-from operator import add
+from operator import add, mul
 
 from .exact import decimal_str, induction_bound
 from .hooks import degree_sn, hook_product
@@ -38,66 +39,59 @@ DEFAULT_MAX_N = 60
 MEMBER_CAP = 40
 
 
-@dataclass(slots=True)
-class DegreeClass:
-    """One distinct degree with the partitions that realize it.
-
-    For the symmetric group, members are the partitions themselves.  For
-    the alternating group, members are conjugacy representatives, the
-    larger partition of each conjugate pair; ``size`` counts characters,
-    and ``splits`` gives how many each member stands for.
-
-    Not frozen, because a spectrum builds one per distinct degree and a
-    frozen dataclass costs about three times as much to construct; treat
-    the fields as read-only.
-    """
-
-    degree: int
-    size: int
-    members: tuple[Partition, ...]
+def splits(group: str, members: tuple[Partition, ...]) -> tuple[int, ...]:
+    """The characters each of a class's ``members`` stands for: one, but
+    two for a self-conjugate A_n representative, whose character splits."""
+    if group == "S":
+        return (1,) * len(members)
+    return tuple(2 if is_self_conjugate(lam) else 1 for lam in members)
 
 
-def splits(group: str, c: DegreeClass) -> tuple[int, ...]:
-    """The characters each member of ``c`` stands for: one, but two for a
-    self-conjugate A_n representative, whose character splits."""
-    if group == "S" or not c.members:
-        return (1,) * len(c.members)
-    return tuple(2 if is_self_conjugate(lam) else 1 for lam in c.members)
-
-
-def complete(group: str, c: DegreeClass) -> bool:
-    """True when ``c`` lists a member for each of its characters."""
-    return sum(splits(group, c)) == c.size
+def complete(group: str, size: int, members: tuple[Partition, ...]) -> bool:
+    """True when ``members`` list a member for each of a class's ``size``
+    characters."""
+    return sum(splits(group, members)) == size
 
 
 @dataclass(frozen=True)
 class DegreeSpectrum:
+    """The distinct degrees of a group, strictly descending, with the number
+    of characters of each, and the members of the leading classes only.
+
+    ``members[i]`` lists the partitions that realize ``degrees[i]``,
+    strictly descending: for S_n the partitions themselves, for A_n the
+    conjugacy representatives, the larger partition of each conjugate pair,
+    which ``splits`` counts.  ``spectrum_sn`` and ``spectrum_an`` keep them
+    for every class up to MEMBER_CAP and for the top two above it; the
+    store keeps the top two at every n.
+    """
+
     n: int
     group: str  # "S" or "A"
-    classes: tuple[DegreeClass, ...]  # strictly decreasing degree
+    degrees: tuple[int, ...]
+    sizes: tuple[int, ...]
+    members: tuple[tuple[Partition, ...], ...]
 
     @property
     def members_complete(self) -> bool:
-        return all(complete(self.group, c) for c in self.classes)
+        return len(self.members) == len(self.degrees) and all(
+            map(complete, repeat(self.group), self.sizes, self.members))
 
     @property
     def b(self) -> int:
         """Largest character degree."""
-        return self.classes[0].degree
+        return self.degrees[0]
 
     @property
     def m1_size(self) -> int:
-        return self.classes[0].size
+        return self.sizes[0]
 
     @property
     def maximizers(self) -> tuple[Partition, ...]:
-        return self.classes[0].members
-
-    def group_order(self) -> int:
-        return group_order_of(self.n, self.group)
+        return self.members[0]
 
     def sum_squares_below_top(self) -> int:
-        return self.group_order() - self.m1_size * self.b * self.b
+        return group_order_of(self.n, self.group) - self.m1_size * self.b * self.b
 
 
 def group_order_of(n: int, group: str) -> int:
@@ -107,43 +101,33 @@ def group_order_of(n: int, group: str) -> int:
     return factorial(n) // 2 if n >= 2 else 1
 
 
-def check_identities(n: int, group: str, count: int, first: int, mass: int) -> None:
-    """Check the identities that need no hook formula on the sums of a
-    spectrum of ``group`` and n, as every built or loaded spectrum must:
-    ``count`` = Σ size, ``first`` = Σ size·d and ``mass`` = Σ size·d².  The
-    mass is |G|; for S_n also the count is p(n) and ``first`` is t(n), the
-    involutions, since every character is real with indicator 1; for A_n
-    also 2·count = p(n) + 3·sc(n), as a self-conjugate partition gives two
-    characters.  Raise ArithmeticError on the first that fails."""
-    identities = [("degree mass", mass, group_order_of(n, group))]
+def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
+    """Return ``spec`` after checking the identities that need no hook
+    formula on its columns, as every built or loaded spectrum must: the
+    degree mass Σ size·d² is |G|; for S_n also the count Σ size is p(n) and
+    Σ size·d is t(n), the involutions, since every character is real with
+    indicator 1; for A_n also 2·Σ size = p(n) + 3·sc(n), as a self-conjugate
+    partition gives two characters.  Raise ArithmeticError on the first
+    that fails."""
+    n, group, degrees, sizes = spec.n, spec.group, spec.degrees, spec.sizes
+    identities = [("degree mass", sum(map(mul, map(mul, sizes, degrees), degrees)),
+                   group_order_of(n, group))]
     if group == "S":
         t = [1, 1]  # t(k) = t(k-1) + (k-1)·t(k-2)
         for k in range(2, n + 1):
             t.append(t[-1] + (k - 1) * t[-2])
-        identities += [("character count", count, count_partitions(n)),
-                       ("degree sum", first, t[n])]
+        identities += [("character count", sum(sizes), count_partitions(n)),
+                       ("degree sum", sum(map(mul, sizes, degrees)), t[n])]
     else:
         sc = [1] + [0] * n  # sc(m): partitions of m into distinct odd parts
         for part in range(1, n + 1, 2):
             for m in range(n, part - 1, -1):
                 sc[m] += sc[m - part]
-        identities.append(("twice the character count", 2 * count,
+        identities.append(("twice the character count", 2 * sum(sizes),
                            count_partitions(n) + 3 * sc[n]))
     for name, got, want in identities:
         if got != want:
             raise ArithmeticError(f"{name} mismatch for {group}_{n}: {got} != {want}")
-
-
-def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
-    """Return ``spec`` after ``check_identities`` on its sums, which one
-    loop over its classes gathers."""
-    count = first = mass = 0
-    for c in spec.classes:
-        count += c.size
-        sd = c.size * c.degree
-        first += sd
-        mass += sd * c.degree
-    check_identities(spec.n, spec.group, count, first, mass)
     return spec
 
 
@@ -321,15 +305,17 @@ def _pair_shard(
 def _spectrum(
     n: int, group: str, chars: dict[int, int], members: dict[int, list[Partition]]
 ) -> DegreeSpectrum:
-    """The spectrum of a ``_Classes``' counts and members, members in
-    descending order."""
-    out = []
-    for deg in sorted(chars, reverse=True):
-        kept = members.get(deg)
-        if kept:
-            kept.sort(reverse=True)
-        out.append(DegreeClass(deg, chars[deg], tuple(kept or ())))
-    return check_invariants(DegreeSpectrum(n, group, tuple(out)))
+    """The spectrum of a ``_Classes``' counts and members.  The degrees that
+    keep members are the leading ones, so they fill ``members`` in order,
+    each sorted descending."""
+    degrees = sorted(chars, reverse=True)
+    kept = []
+    for deg in degrees[:len(members)]:
+        lams = members[deg]
+        lams.sort(reverse=True)
+        kept.append(tuple(lams))
+    return check_invariants(DegreeSpectrum(
+        n, group, tuple(degrees), tuple(map(chars.__getitem__, degrees)), tuple(kept)))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -423,35 +409,27 @@ def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> Degr
 
 def has_built_members(spec: DegreeSpectrum) -> bool:
     """True when ``spec`` is a spectrum above MEMBER_CAP, the only ones the
-    cache keeps, and stores the members that ``spectrum_sn`` and
-    ``spectrum_an`` store for it: those of the top two classes, which the
-    checks read, and no others."""
-    return not any(c.members for c in spec.classes[2:]) and \
-        top_two_built(spec.n, spec.group, spec.classes[:2])
-
-
-def top_two_built(n: int, group: str, top: tuple[DegreeClass, ...]) -> bool:
-    """True when n is above MEMBER_CAP and ``top``, the top two classes of a
-    spectrum of ``group`` and n (its only class when it has one), list a
-    member for each of their characters.
+    cache keeps, and keeps the members that ``spectrum_sn`` and
+    ``spectrum_an`` keep for it: a member for each character of its top two
+    classes (its only class when it has one), which the checks read, and no
+    others.
 
     Every member must be a partition of n, listed strictly descending in
     its class, and must give back its class degree from its hook product,
     which keeps it out of the other class; in A_n it is also the larger
     partition of its conjugate pair.
     """
-    if n <= MEMBER_CAP or not all(complete(group, c) for c in top):
-        return False
-    if any(a <= b for c in top for a, b in zip(c.members, c.members[1:])):
-        return False
-    if any(sum(lam) != n for c in top for lam in c.members):
+    n, group = spec.n, spec.group
+    if n <= MEMBER_CAP or len(spec.members) != min(2, len(spec.degrees)):
         return False
     fact = factorial(n)
-    for c in top:
-        for lam, chars in zip(c.members, splits(group, c)):
-            if group == "A" and lam < conjugate(lam):
+    for degree, size, lams in zip(spec.degrees, spec.sizes, spec.members):
+        if not complete(group, size, lams) or any(a <= b for a, b in zip(lams, lams[1:])):
+            return False
+        for lam, chars in zip(lams, splits(group, lams)):
+            if sum(lam) != n or (group == "A" and lam < conjugate(lam)):
                 return False
-            if chars * c.degree * hook_product(lam) != fact:
+            if chars * degree * hook_product(lam) != fact:
                 return False
     return True
 
@@ -513,30 +491,20 @@ def clear_spectrum_cache() -> None:
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:
     """Sum of squared degrees strictly below the top degree, over its square."""
-    return top_epsilon(spec.n, spec.group, spec.b, spec.m1_size)
-
-
-def top_epsilon(n: int, group: str, b: int, m1: int) -> Fraction:
-    """``epsilon`` of a spectrum of ``group`` and n whose top degree b has
-    m1 characters, from the degree mass |G|."""
-    return Fraction(group_order_of(n, group) - m1 * b * b, b * b)
+    return Fraction(spec.sum_squares_below_top(), spec.b * spec.b)
 
 
 def spectrum_xy(n: int) -> tuple[int, int]:
     """x = number of symmetric-group characters of degree above b(A_n);
     y = multiplicity of b(A_n) as a symmetric-group degree."""
     b_a = cached_spectrum("A", n).b
+    s_spec = cached_spectrum("S", n)
     x = 0
-    y = 0
-    for c in cached_spectrum("S", n).classes:
-        if c.degree > b_a:
-            x += c.size
-        elif c.degree == b_a:
-            y = c.size
-            break
-        else:
-            break
-    return x, y
+    for degree, size in zip(s_spec.degrees, s_spec.sizes):
+        if degree <= b_a:
+            return x, size if degree == b_a else 0
+        x += size
+    return x, 0
 
 
 def _dominance(
@@ -674,16 +642,16 @@ def induced_bound_check(n: int) -> VerificationReport:
     reduced = (
         b_a < b_s
         and s_spec.m1_size == 1
-        and len(s_spec.classes) > 1
-        and s_spec.classes[1].degree == b_a
+        and len(s_spec.degrees) > 1
+        and s_spec.degrees[1] == b_a
     )
     if reduced:
-        m2 = s_spec.classes[1]
-        a_records = _move_mass(m2.members, b_a, 2 * b_a * b_a, "induced-mass[{}]")
-        witnesses.extend(m2.members)
+        m2 = s_spec.members[1]
+        a_records = _move_mass(m2, b_a, 2 * b_a * b_a, "induced-mass[{}]")
+        witnesses.extend(m2)
         analytic_a = induction_bound(n, 20) * b_a * b_a
         notes.append(f"alternating-analytic-context={decimal_str(analytic_a)}")
-        hyp_a = n >= 43 and m2.size <= 19
+        hyp_a = n >= 43 and s_spec.sizes[1] <= 19
         notes.append(f"alternating-hypotheses={'active' if hyp_a else 'inactive'}")
     else:
         notes.append("alternating-branch=not-applicable")
@@ -741,8 +709,8 @@ def move_scan_verify(n: int, group: str) -> VerificationReport:
         # degree b_s/2 already dominate
         notes.append("multiple-self-conjugate-maximizers")
         records = [Inequality("four-split-characters", b_s * b_s, ">", b_a * b_a)]
-    elif len(s_spec.classes) > 1 and s_spec.classes[1].degree > b_a:
-        b_2 = s_spec.classes[1].degree
+    elif len(s_spec.degrees) > 1 and s_spec.degrees[1] > b_a:
+        b_2 = s_spec.degrees[1]
         notes.append("intermediate-self-conjugate-degree")
         records = [
             Inequality(

@@ -70,7 +70,7 @@ def test_criterion_03_theorem2():
 def test_criterion_03_theorem2_stretch():
     for n in range(41, 50):
         spec = spectrum_sn(n, threads=2)
-        assert sum(c.size * c.degree ** 2 for c in spec.classes) == factorial(n)
+        assert sum(s * d ** 2 for d, s in zip(spec.degrees, spec.sizes)) == factorial(n)
         left = spec.sum_squares_below_top()
         assert left > 2 * spec.b * spec.b, f"n={n}"
     verdict(3, "stretch range n=41..49 verified as well")
@@ -176,8 +176,8 @@ def test_criterion_12_performance_and_determinism():
     spec = spectrum_sn(50, threads=workers)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"n=50 spectrum took {elapsed:.1f}s"
-    assert sum(c.size for c in spec.classes) == 204226
-    assert sum(c.size * c.degree ** 2 for c in spec.classes) == factorial(50)
+    assert sum(spec.sizes) == 204226
+    assert sum(s * d ** 2 for d, s in zip(spec.degrees, spec.sizes)) == factorial(50)
 
     seq = spectrum_sn(50, threads=1)
     par = spectrum_sn(50, threads=2)

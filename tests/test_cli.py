@@ -18,7 +18,6 @@ from chardeg import (
     enumerate_partitions,
     graph,
     partitions,
-    serialize,
     spectrum,
 )
 from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
@@ -31,7 +30,7 @@ from chardeg.serialize import (
     spectrum_json,
     spectrum_to_doc,
 )
-from chardeg.spectrum import DegreeClass, has_built_members, spectrum_an, spectrum_sn
+from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
 
 
 def md5(text):
@@ -213,7 +212,7 @@ class TestSpectrumJson:
                 with pytest.raises(ValueError, match="^members are not the ones"):
                     parse_spectrum_json(text, spec.group, n)
             else:
-                assert parse_spectrum_json(text, spec.group, n).spectrum() == spec, n
+                assert parse_spectrum_json(text, spec.group, n) == spec, n
 
     @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
     def test_entries_keep_the_layout_json_text_writes(self, monkeypatch, build):
@@ -239,8 +238,7 @@ def loaded(cache_dir, group, n):
     hit = load_spectrum(cache_dir, group, n)
     if hit is None:
         return None
-    parse, text = hit
-    spec = parse.spectrum()
+    spec, text = hit
     assert text == spectrum_json(spec)
     return spec
 
@@ -518,7 +516,7 @@ class TestCache:
         classes = json.loads(path.read_text())["classes"]
         assert all(c["size"] >= 1 for c in classes)
         assert sum(c["size"] * int(c["degree"]) ** 2 for c in classes) == \
-            sum(c.size * c.degree ** 2 for c in spec.classes)
+            sum(s * d ** 2 for d, s in zip(spec.degrees, spec.sizes))
         assert_value_miss(tmp_path, group, n)
         code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert code == 0 and out == cold
@@ -562,8 +560,8 @@ class TestCache:
         for group, n in (("S", 11), ("A", 11)):
             spec = spectrum_sn(n) if group == "S" else spectrum_an(n)
             store_spectrum(tmp_path, spec)
-            parse, text = load_spectrum(tmp_path, group, n)
-            assert parse.spectrum() == spec
+            hit, text = load_spectrum(tmp_path, group, n)
+            assert hit == spec
             assert text == spectrum_json(spec) == cache_path(tmp_path, group, n).read_text()
 
     def test_corrupt_cache_recomputed(self, capsys, tmp_path):
@@ -698,7 +696,7 @@ class TestCache:
             hit = load_spectrum(tmp_path, spec.group, 12)
             if hit is not None:
                 hits += 1
-                assert hit[1] == spectrum_json(hit[0].spectrum()) == edited.decode("utf-8")
+                assert hit[1] == spectrum_json(hit[0]) == edited.decode("utf-8")
         assert hits == 0
 
     # what the parse saw: the collector paused, then the error of the miss;
@@ -778,7 +776,9 @@ class TestCacheAtTheMemberCap:
         code, cold, _ = run(capsys, *argv, "--threads", "2", "--cache-dir", str(tmp_path))
         assert code == 0 and md5(cold) == md5(plain)
         assert md5(cache_path(tmp_path, group, 41).read_text()) == md5(cold)
-        assert loaded(tmp_path, group.upper(), 41) is not None
+        # the entry two workers wrote loads as the spectrum one worker builds
+        assert loaded(tmp_path, group.upper(), 41) == \
+            (spectrum_sn if group == "s" else spectrum_an)(41)
         code, warm, _ = run(capsys, *argv, "--threads", "1", "--cache-dir", str(tmp_path))
         assert code == 0 and md5(warm) == md5(plain)
 
@@ -795,48 +795,29 @@ class TestCacheAtTheMemberCap:
         assert md5(path.read_text()) == md5(canonical)
 
     def test_hit_prints_the_entry_it_proved(self, capsys, tmp_path, monkeypatch):
-        plain = {fmt: run(capsys, "spectrum", "--n", "41", "--format", fmt)[1]
-                 for fmt in ("json", "csv", "text")}
-        assert md5(plain["json"]) == "36e4461473a5b268ce5dd918dfad88b2"
+        # a hit serves every format from the one spectrum the load returns
+        plain = {(group, fmt): run(capsys, "spectrum", "--n", "41", "--group", group,
+                                   "--format", fmt)[1]
+                 for group in ("s", "a") for fmt in ("json", "csv", "text")}
+        assert md5(plain["s", "json"]) == "36e4461473a5b268ce5dd918dfad88b2"
         store_spectrum(tmp_path, spectrum_sn(41))
-        for name in ("spectrum_sn", "spectrum_json"):  # a miss would build, a re-render call
+        store_spectrum(tmp_path, spectrum_an(41))
+        # a miss would build, a re-render call spectrum_json
+        for name in ("spectrum_sn", "spectrum_an", "spectrum_json"):
             monkeypatch.setattr(cli, name, None)
         for name in ("load", "loads"):  # the hit parses the layout, not JSON
             monkeypatch.setattr(json, name, None)
-        for fmt, expected in plain.items():
-            code, out, _ = run(capsys, "spectrum", "--n", "41", "--format", fmt,
-                               "--cache-dir", str(tmp_path))
-            assert code == 0 and md5(out) == md5(expected), fmt
-
-    @pytest.mark.parametrize("group", ["s", "a"])
-    def test_json_hit_builds_only_the_member_classes(self, capsys, tmp_path, monkeypatch,
-                                                     group):
-        argv = ("spectrum", "--n", "41", "--group", group)
-        plain = {fmt: run(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "csv", "text")}
-        spec = (spectrum_sn if group == "s" else spectrum_an)(41)
-        store_spectrum(tmp_path, spec)
-        built = Counter()
-
-        def counted(*args):
-            built[fmt] += 1
-            return DegreeClass(*args)
-
-        monkeypatch.setattr(serialize, "DegreeClass", counted)
-        for name in ("spectrum_sn", "spectrum_an", "spectrum_json"):  # a miss would build
-            monkeypatch.setattr(cli, name, None)
-        for fmt, expected in plain.items():
-            code, out, _ = run(capsys, *argv, "--format", fmt, "--cache-dir", str(tmp_path))
-            assert code == 0 and md5(out) == md5(expected), fmt
-        # json prints the entry's text; csv and text render one spectrum
-        assert built == {"json": 2, "csv": len(spec.classes), "text": len(spec.classes)}
+        for (group, fmt), expected in plain.items():
+            code, out, _ = run(capsys, "spectrum", "--n", "41", "--group", group,
+                               "--format", fmt, "--cache-dir", str(tmp_path))
+            assert code == 0 and md5(out) == md5(expected), (group, fmt)
 
     @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
     def test_round_trip_of_built_entries(self, tmp_path, build):
         for n in range(41, 46):
             spec = build(n)
             store_spectrum(tmp_path, spec)
-            parse, text = load_spectrum(tmp_path, spec.group, n)
-            assert (parse.spectrum(), text) == (spec, spectrum_json(spec)), n
+            assert load_spectrum(tmp_path, spec.group, n) == (spec, spectrum_json(spec)), n
 
 
     def test_swapped_lower_classes_are_a_miss(self, capsys, tmp_path):
@@ -1021,7 +1002,7 @@ class TestVerifyCmd:
         code, _, _ = run(capsys, "verify", "--n", "44", "--checks", "induced-bound,move-scan")
         assert code == 0
         s_spec = spectrum.cached_spectrum("S", 44)
-        scanned = set(s_spec.maximizers) | set(s_spec.classes[1].members)
+        scanned = set(s_spec.maximizers) | set(s_spec.members[1])
         moves = {mu for lam in scanned for _i, _j, mu in partitions.iter_moves(lam)}
         assert set(calls) == moves and set(calls.values()) == {1}
         assert spectrum._move_degrees.keys() == moves

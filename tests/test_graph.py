@@ -23,7 +23,7 @@ from chardeg import (
 )
 from chardeg.report import FAIL, Inequality
 from chardeg.serialize import graph_from_doc, graph_to_doc, graph_to_dot
-from chardeg.spectrum import DegreeClass, DegreeSpectrum
+from chardeg.spectrum import DegreeSpectrum
 
 
 def union_find_components(n):
@@ -253,10 +253,8 @@ class TestCountChecks:
     def test_near_max_records_the_smallest_slack(self, monkeypatch):
         # only class 3 (degree 10, 20 characters) fails: no character lies
         # in (10/4, 10) against 20 - 4*2 needed
-        classes = tuple(DegreeClass(d, size, ()) for d, size in
-                        ((100, 1), (60, 1), (10, 20), (1, 3)))
-        monkeypatch.setattr(spectrum, "cached_spectrum",
-                            lambda group, n: DegreeSpectrum(n, group, classes))
+        monkeypatch.setattr(spectrum, "cached_spectrum", lambda group, n: DegreeSpectrum(
+            n, group, (100, 60, 10, 1), (1, 1, 20, 3), ((), ())))
         rep = near_max_count_check_all(9)
         assert rep.status == FAIL and rep.consistent()
         assert rep.inequalities == (Inequality("near-top-characters[r=3]", 0, ">=", 12),)

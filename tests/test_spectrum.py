@@ -3,8 +3,10 @@
 import gc
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import factorial, prod
 
 import pytest
@@ -36,10 +38,10 @@ from chardeg.exact import induction_bound
 from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, Inequality, VerificationReport
 from chardeg.spectrum import (
     MEMBER_CAP,
-    DegreeClass,
     DegreeSpectrum,
     check_invariants,
     complete,
+    group_order_of,
     move_facts,
     pool_size,
     splits,
@@ -50,8 +52,8 @@ def serve_spectra(monkeypatch, n, s_classes, b_a):
     """Make ``cached_spectrum`` serve an S_n spectrum of the given (degree,
     size, members) classes and an A_n spectrum whose top degree is b_a."""
     specs = {
-        "S": DegreeSpectrum(n, "S", tuple(DegreeClass(*c) for c in s_classes)),
-        "A": DegreeSpectrum(n, "A", (DegreeClass(b_a, 1, ()),)),
+        "S": DegreeSpectrum(n, "S", *zip(*s_classes)),
+        "A": DegreeSpectrum(n, "A", (b_a,), (1,), ((),)),
     }
     monkeypatch.setattr(spectrum, "cached_spectrum", lambda group, m: specs[group])
 
@@ -143,7 +145,7 @@ class TestVerifyFailsFromData:
 class TestSpectrumSn:
     def test_s5(self):
         spec = spectrum_sn(5)
-        assert [(c.degree, c.size) for c in spec.classes] == [(6, 1), (5, 2), (4, 2), (1, 2)]
+        assert list(zip(spec.degrees, spec.sizes)) == [(6, 1), (5, 2), (4, 2), (1, 2)]
         assert spec.b == 6 and spec.m1_size == 1
         assert spec.maximizers == ((3, 1, 1),)
 
@@ -154,30 +156,28 @@ class TestSpectrumSn:
 
     def test_s1(self):
         spec = spectrum_sn(1)
-        assert [(c.degree, c.size) for c in spec.classes] == [(1, 1)]
+        assert (spec.degrees, spec.sizes, spec.members) == ((1,), (1,), (((1,),),))
 
     def test_mass_small_range(self):
         for n in range(1, 26):
             spec = spectrum_sn(n)
-            assert sum(c.size * c.degree ** 2 for c in spec.classes) == factorial(n)
-            assert spec.classes[-1].degree == 1
-            degrees = [c.degree for c in spec.classes]
-            assert degrees == sorted(degrees, reverse=True)
-            assert len(set(degrees)) == len(degrees)
+            assert sum(s * d ** 2 for d, s in zip(spec.degrees, spec.sizes)) == factorial(n)
+            assert spec.degrees[-1] == 1
+            assert list(spec.degrees) == sorted(set(spec.degrees), reverse=True)
 
     def test_members_complete_below_cap(self):
         spec = spectrum_sn(12)
         assert spec.members_complete
-        assert all(complete("S", c) for c in spec.classes)
-        assert sum(c.size for c in spec.classes) == sum(1 for _ in enumerate_partitions(12))
+        assert all(map(complete, repeat("S"), spec.sizes, spec.members))
+        assert sum(spec.sizes) == sum(1 for _ in enumerate_partitions(12))
 
     def test_members_truncated_above_cap(self, monkeypatch):
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 5)
         spec = spectrum_sn(12)
         assert not spec.members_complete
         # the top two classes keep their members, the checks read both
-        assert all(complete("S", c) and c.members for c in spec.classes[:2])
-        assert all(c.members == () for c in spec.classes[2:])
+        assert len(spec.members) == 2 and all(spec.members)
+        assert all(map(complete, repeat("S"), spec.sizes, spec.members))
 
     def test_top_two_members_above_cap(self, monkeypatch):
         # each shard keeps its own top two degrees; the merge keeps the
@@ -189,10 +189,8 @@ class TestSpectrumSn:
                     m.setattr(spectrum, "MEMBER_CAP", 5)
                     capped = build(20, threads=threads)
                 assert not capped.members_complete
-                assert capped.classes[:2] == full.classes[:2]
-                assert [(c.degree, c.size) for c in capped.classes] == [
-                    (c.degree, c.size) for c in full.classes
-                ]
+                assert capped.members == full.members[:2]
+                assert (capped.degrees, capped.sizes) == (full.degrees, full.sizes)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -236,7 +234,7 @@ class TestDegreeTable:
         # at or below the member cap every class keeps all its members
         for n in range(1, 21):
             spec = spectrum_sn(n)
-            table = {lam: c.degree for c in spec.classes for lam in c.members}
+            table = {lam: d for d, lams in zip(spec.degrees, spec.members) for lam in lams}
             assert sorted(table, reverse=True) == list(enumerate_partitions(n))
             for lam, d in table.items():
                 assert d == degree_sn(lam) == count_standard_tableaux(lam), lam
@@ -251,7 +249,7 @@ class TestDegreeTable:
             for group in ("S", "A"):
                 assert cached_spectrum(group, n) == capped[group]
             degrees = Counter(degree_sn(lam) for lam in enumerate_partitions(n))
-            assert degrees == {c.degree: c.size for c in capped["S"].classes}
+            assert degrees == dict(zip(capped["S"].degrees, capped["S"].sizes))
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_leaves_gc_state_as_found(self, enabled):
@@ -374,13 +372,13 @@ class TestWalk:
                 else:
                     low.setdefault(d, []).append(lam)
             s_spec, a_spec = cached_spectrum("S", n), cached_spectrum("A", n)
-            assert [(c.degree, c.size) for c in s_spec.classes] == sorted(s_sizes.items())[::-1]
-            assert [(c.degree, c.size) for c in a_spec.classes] == sorted(a_sizes.items())[::-1]
-            for c in s_spec.classes[:2]:
-                assert list(c.members) == sorted((lam for lam in degree
-                                                  if degree[lam] == c.degree), reverse=True)
-            for c in a_spec.classes[:2]:
-                assert list(c.members) == sorted(a_members[c.degree], reverse=True)
+            assert list(zip(s_spec.degrees, s_spec.sizes)) == sorted(s_sizes.items())[::-1]
+            assert list(zip(a_spec.degrees, a_spec.sizes)) == sorted(a_sizes.items())[::-1]
+            for d, lams in zip(s_spec.degrees, s_spec.members):
+                assert list(lams) == sorted((lam for lam in degree if degree[lam] == d),
+                                            reverse=True)
+            for d, lams in zip(a_spec.degrees, a_spec.members):
+                assert list(lams) == sorted(a_members[d], reverse=True)
             facts = move_facts(n)
             assert (facts.interior, facts.violations) == (interior, violations), n
             assert {d: sorted(v) for d, v in facts.low.items()} == \
@@ -450,8 +448,8 @@ class TestWalk:
 
 
 def assert_members_descending(spec):
-    for c in spec.classes:
-        assert all(a > b for a, b in zip(c.members, c.members[1:])), (spec.group, spec.n, c)
+    for lams in spec.members:
+        assert all(a > b for a, b in zip(lams, lams[1:])), (spec.group, spec.n, lams)
 
 
 class TestMembersDescending:
@@ -471,6 +469,20 @@ class TestMembersDescending:
         for n in range(2, 23):
             assert_members_descending(cached_spectrum("S", n))
             assert_members_descending(cached_spectrum("A", n))
+
+    def test_members_of_exactly_the_leading_classes(self):
+        # k classes keep members, a member for each of their characters, and
+        # no other does: every class up to the member cap, and the top two
+        # above it and in the store at every n
+        for n in range(1, 46):
+            groups = "SA" if n >= 2 else "S"
+            built = [(spectrum_sn if g == "S" else spectrum_an)(n) for g in groups]
+            for spec, every in [(spec, n <= MEMBER_CAP) for spec in built] + \
+                    [(cached_spectrum(g, n), False) for g in groups]:
+                k = len(spec.degrees) if every else min(2, len(spec.degrees))
+                assert len(spec.members) == k, (spec.group, n)
+                assert all(map(complete, repeat(spec.group), spec.sizes, spec.members))
+                assert_members_descending(spec)
 
     def test_any_arrival_order(self):
         # members arriving in reverse, a pair as (λ', λ), are still sorted
@@ -501,10 +513,10 @@ class TestPoolSize:
 class TestSpectrumAn:
     def test_a5(self):
         spec = spectrum_an(5)
-        assert [(c.degree, c.size) for c in spec.classes] == [(5, 1), (4, 1), (3, 2), (1, 1)]
+        assert list(zip(spec.degrees, spec.sizes)) == [(5, 1), (4, 1), (3, 2), (1, 1)]
         # the split class stores the self-conjugate representative
-        three = spec.classes[2]
-        assert three.members == ((3, 1, 1),) and splits("A", three) == (2,)
+        three = spec.members[2]
+        assert three == ((3, 1, 1),) and splits("A", three) == (2,)
 
     def test_a6(self):
         spec = spectrum_an(6)
@@ -513,12 +525,12 @@ class TestSpectrumAn:
 
     def test_a2(self):
         spec = spectrum_an(2)
-        assert [(c.degree, c.size) for c in spec.classes] == [(1, 1)]
+        assert list(zip(spec.degrees, spec.sizes)) == [(1, 1)]
 
     def test_mass_small_range(self):
         for n in range(2, 26):
             spec = spectrum_an(n)
-            assert sum(c.size * c.degree ** 2 for c in spec.classes) == factorial(n) // 2
+            assert sum(s * d ** 2 for d, s in zip(spec.degrees, spec.sizes)) == factorial(n) // 2
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -536,22 +548,20 @@ def moments():
     out = {}
     for n in range(2, 41):
         parts = list(enumerate_partitions(n))
-        s_classes = cached_spectrum("S", n).classes
+        s_spec = cached_spectrum("S", n)
         out[n] = {
             "p": len(parts),
             "sc": sum(1 for lam in parts if lam == conjugate(lam)),
-            "s_count": sum(c.size for c in s_classes),
-            "s_degree_sum": sum(c.size * c.degree for c in s_classes),
-            "a_count": sum(c.size for c in cached_spectrum("A", n).classes),
+            "s_count": sum(s_spec.sizes),
+            "s_degree_sum": sum(s * d for d, s in zip(s_spec.degrees, s_spec.sizes)),
+            "a_count": sum(cached_spectrum("A", n).sizes),
         }
     return out
 
 
 def sizes_moved(spec, moves):
-    classes = tuple(
-        DegreeClass(c.degree, c.size + moves.get(c.degree, 0), c.members) for c in spec.classes
-    )
-    return DegreeSpectrum(spec.n, spec.group, classes)
+    sizes = tuple(s + moves.get(d, 0) for d, s in zip(spec.degrees, spec.sizes))
+    return replace(spec, sizes=sizes)
 
 
 class TestInvariants:
@@ -586,7 +596,8 @@ class TestInvariants:
         spec = build(n)
         assert check_invariants(spec) is spec
         moved = sizes_moved(spec, moves)
-        assert sum(c.size * c.degree ** 2 for c in moved.classes) == moved.group_order()
+        assert sum(s * d ** 2 for d, s in zip(moved.degrees, moved.sizes)) == \
+            group_order_of(n, moved.group)
         with pytest.raises(ArithmeticError, match=f"^{identity} mismatch"):
             check_invariants(moved)
 
@@ -636,7 +647,7 @@ class TestEpsilon:
         for n in range(2, 18):
             spec = cached_spectrum("S", n)
             direct = sum(
-                c.size * Fraction(c.degree, spec.b) ** 2 for c in spec.classes[1:]
+                s * Fraction(d, spec.b) ** 2 for d, s in zip(spec.degrees[1:], spec.sizes[1:])
             )
             assert epsilon(spec) == direct
 
@@ -757,7 +768,7 @@ class TestMoveScan:
         # the scans take move degrees from the hook formula; they equal the
         # tableau counts, which use no hook length
         for n in range(5, 21):
-            members = [lam for c in cached_spectrum("S", n).classes[:2] for lam in c.members]
+            members = [lam for lams in cached_spectrum("S", n).members for lam in lams]
             assert members
             for lam in members:
                 degrees = spectrum._scan_degrees(lam)

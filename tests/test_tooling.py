@@ -64,6 +64,32 @@ def test_tracer_counts_cache_traffic(tmp_path):
     assert warm["cache.bytes_read"] == size and warm["cache.bytes_written"] == 0
 
 
+def test_tracer_passes_a_csv_hit_through(tmp_path):
+    # the tracer's load wrapper hands on whatever load_spectrum returns, so
+    # a warm csv run renders the loaded spectrum and prints the cold bytes
+    cache_dir = tmp_path / "cache"
+    env = {k: v for k, v in os.environ.items() if k != "CHARDEG_CACHE_DIR"}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    runs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        proc = subprocess.run(
+            [sys.executable, "perfbench/tracer.py", str(out), "--", "spectrum", "--n", "41",
+             "--cache-dir", str(cache_dir), "--format", "csv"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, json.loads(out.read_text())["counts"]))
+    (cold, cold_counts), (warm, warm_counts) = runs
+    assert cold_counts["cache.misses"] == 1 and cold_counts["cache.hits"] == 0
+    assert warm_counts["cache.hits"] == 1 and warm_counts["cache.misses"] == 0
+    assert warm == cold and cold.startswith("degree,multiplicity,members,splits\n")
+
+
 def test_importing_the_cli_leaves_the_pool_unimported():
     # only spectrum above the member cap with two or more workers starts a
     # pool, so concurrent.futures is imported when the first pool starts
