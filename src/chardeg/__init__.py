@@ -9,10 +9,8 @@ squared-degree-excess lower bounds that structure those spectra.
 __version__ = "0.1.0"
 
 from .hooks import (
-    AnDegreeEntry,
     count_standard_tableaux,
     degree_sn,
-    degrees_an,
     hook_length,
     hook_lengths,
     hook_product,
@@ -50,9 +48,7 @@ from .graph import (
 )
 from .report import Inequality, VerificationReport
 from .spectrum import (
-    BranchDecomposition,
     DegreeSpectrum,
-    branch_decompose,
     cached_spectrum,
     clear_spectrum_cache,
     epsilon,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -16,13 +15,15 @@ from .graph import (
     near_max_count_check_all,
     ratio_lemma_check,
 )
-from .hooks import degree_sn, degrees_an, hook_product, up_dn_ratio
+from .hooks import degree_sn, hook_product, up_dn_ratio
 from .partitions import (
     format_partition,
     is_self_conjugate,
+    iter_moves,
     lambda_dn,
     lambda_up,
     parse_partition,
+    removable_nodes,
 )
 from .report import FAIL
 from .serialize import (
@@ -37,7 +38,6 @@ from .serialize import (
 )
 from .spectrum import (
     DEFAULT_MAX_N,
-    branch_decompose,
     epsilon,
     epsilon_lower_bounds,
     induced_bound_check,
@@ -46,11 +46,10 @@ from .spectrum import (
     spectrum_an,
     spectrum_sn,
     spectrum_xy,
+    splits,
     verify_theorem1,
     verify_theorem2,
 )
-
-CACHE_ENV = "CHARDEG_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -87,7 +86,11 @@ def cmd_degree(args: argparse.Namespace) -> int:
     n = sum(parts)
     h = hook_product(parts)
     deg = degree_sn(parts)
-    entry = degrees_an(parts)
+    # A_1 = S_1, so nothing splits there
+    count = splits("A", (parts,))[0] if n >= 2 else 1
+    alt_deg, odd = divmod(deg, count)
+    if odd:
+        raise ArithmeticError(f"odd degree {deg} for self-conjugate {parts}")
     up, dn = lambda_up(parts), lambda_dn(parts)
     ratio = up_dn_ratio(parts)
     if args.fmt == "json":
@@ -98,8 +101,8 @@ def cmd_degree(args: argparse.Namespace) -> int:
             "hook_product": str(h),
             "degree": str(deg),
             "self_conjugate": is_self_conjugate(parts),
-            "alternating_degree": str(entry.degree),
-            "alternating_count": entry.count,
+            "alternating_degree": str(alt_deg),
+            "alternating_count": count,
             "lambda_up": format_partition(up) if up else None,
             "lambda_dn": format_partition(dn) if dn else None,
             "up_dn_ratio": str(ratio) if ratio is not None else None,
@@ -112,7 +115,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     print(f"hook product: {h}")
     print(f"degree: {deg}")
     print(f"self-conjugate: {'yes' if is_self_conjugate(parts) else 'no'}")
-    print(f"alternating degree: {entry.degree} x{entry.count}")
+    print(f"alternating degree: {alt_deg} x{count}")
     print(f"lambda_up: {format_partition(up) if up else 'undefined'}")
     print(f"lambda_dn: {format_partition(dn) if dn else 'undefined'}")
     if ratio is None:
@@ -125,32 +128,33 @@ def cmd_degree(args: argparse.Namespace) -> int:
 
 def cmd_branch(args: argparse.Namespace) -> int:
     parts = parse_partition(args.partition, max_n=args.max_n)
-    decomp = branch_decompose(parts)
     n = sum(parts)
-    degs = [degree_sn(c) for c in decomp.constituents]
+    corners = len(removable_nodes(parts))
+    moves = [moved for _i, _j, moved in iter_moves(parts)]
+    degs = [degree_sn(c) for c in moves]
     if args.fmt == "json":
         doc = {
             "schema": SCHEMA_VERSION,
             "source": format_partition(parts),
             "n": n,
-            "self_multiplicity": decomp.self_multiplicity,
+            "self_multiplicity": corners,
             "constituents": [
                 {"partition": format_partition(c), "degree": str(d)}
-                for c, d in zip(decomp.constituents, degs)
+                for c, d in zip(moves, degs)
             ],
-            "constituent_count": decomp.constituent_count(),
+            "constituent_count": 1 + len(moves),
         }
         print(json_text(doc), end="")
         return 0
     src_deg = degree_sn(parts)
     print(f"source: {format_partition(parts)}  (degree {src_deg})")
     print(f"n: {n}")
-    print(f"self multiplicity: {decomp.self_multiplicity}")
-    for c, d in zip(decomp.constituents, degs):
+    print(f"self multiplicity: {corners}")
+    for c, d in zip(moves, degs):
         print(f"  constituent: {format_partition(c)}  (degree {d})")
-    total = decomp.self_multiplicity * src_deg + sum(degs)
+    total = corners * src_deg + sum(degs)
     print(f"degree identity: {n} * {src_deg} = {total}")
-    print(f"constituents including source: {decomp.constituent_count()} < {2 * n}")
+    print(f"constituents including source: {1 + len(moves)} < {2 * n}")
     return 0
 
 
@@ -159,7 +163,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise UsageError("--threads must be at least 1")
     _guard(args.n, args.max_n)
     group = args.group.upper()
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    cache_dir = args.cache_dir
     if args.n <= spectrum.MEMBER_CAP:
         cache_dir = None  # here a load is no faster than a build
     hit = load_spectrum(cache_dir, group, args.n) if cache_dir else None
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=("s", "a"), default="s")
     p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--cache-dir", help=f"spectrum cache directory (default ${CACHE_ENV})")
+    p.add_argument("--cache-dir", help="spectrum cache directory")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_spectrum)
 

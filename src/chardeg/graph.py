@@ -109,15 +109,6 @@ def _class_sizes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     return spec.degrees, spec.sizes, [0, *accumulate(spec.sizes)]
 
 
-def _low_degree(n: int, degrees: tuple[int, ...]) -> tuple[list[int], dict[int, list[Partition]]]:
-    """Per class, the number of its partitions with fewer than two move
-    neighbours, and those partitions in walk order for the classes that
-    have any; a report samples the three largest."""
-    index_of = {d: i for i, d in enumerate(degrees)}
-    members = {index_of[d]: lams for d, lams in spectrum.move_facts(n).low.items()}
-    return [len(members.get(i, ())) for i in range(len(degrees))], members
-
-
 def _in_range(degrees: tuple[int, ...], prefix: list[int]) -> list[int]:
     """in_range[r] = characters with degree strictly between b_r/4 and b_r."""
     in_range = []
@@ -133,10 +124,11 @@ def _in_range(degrees: tuple[int, ...], prefix: list[int]) -> list[int]:
 def low_degree_count_check(n: int, r: int) -> VerificationReport:
     """At most 2 |M_1 ∪ ... ∪ M_{r-1}| partitions of the r-th degree class
     have fewer than two move neighbors; for r = 1 that means none at all."""
+    low = spectrum.move_facts(n).low  # first, so a cold store is walked once
     degrees, sizes, prefix = _class_sizes(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
-    low_counts, low_members = _low_degree(n, degrees)
+    low_counts = [len(low.get(d, ())) for d in degrees]
     ineqs = [Inequality("low-degree-members", low_counts[r - 1], "<=", 2 * prefix[r - 1])]
     if r == 1:
         ineqs.append(Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0))
@@ -146,7 +138,7 @@ def low_degree_count_check(n: int, r: int) -> VerificationReport:
         check="low-degree-count",
         n=n,
         inequalities=tuple(ineqs),
-        witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
+        witnesses=tuple(nlargest(3, low.get(degrees[r - 1], ()))),
         notes=(f"r={r}", f"|M_r|={sizes[r - 1]}"),
     )
 
@@ -181,9 +173,10 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
     """The low-degree counting bound over every class at once; the recorded
     inequality is the tightest class, so it holds exactly when every class
     does."""
+    low = spectrum.move_facts(n).low  # first, so a cold store is walked once
     degrees, sizes, prefix = _class_sizes(n)
-    low_counts, low_members = _low_degree(n, degrees)
-    r, notes = _tightest([2 * p - low for p, low in zip(prefix, low_counts)])
+    low_counts = [len(low.get(d, ())) for d in degrees]
+    r, notes = _tightest([2 * p - k for p, k in zip(prefix, low_counts)])
     ineqs = [
         Inequality(f"low-degree-members[r={r}]", low_counts[r - 1], "<=", 2 * prefix[r - 1]),
         Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0),
@@ -194,7 +187,7 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
         check="low-degree-count",
         n=n,
         inequalities=tuple(ineqs),
-        witnesses=tuple(nlargest(3, low_members.get(r - 1, ()))),
+        witnesses=tuple(nlargest(3, low.get(degrees[r - 1], ()))),
         notes=tuple(notes),
     )
 

@@ -11,29 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
-from typing import NamedTuple
 
 from .partitions import (
     Node,
     Partition,
     conjugate,
-    is_self_conjugate,
     lambda_dn,
     lambda_up,
     remove_node,
     removable_nodes,
 )
-
-
-class AnDegreeEntry(NamedTuple):
-    """Degree contributed to the alternating group by one representative.
-
-    count is 2 exactly when the representative is self-conjugate, in which
-    case the symmetric-group degree splits in half.
-    """
-
-    degree: int
-    count: int
 
 
 def hook_lengths(parts: Partition) -> list[int]:
@@ -69,26 +56,6 @@ def degree_sn(parts: Partition) -> int:
     if r:
         raise ArithmeticError(f"hook product does not divide {n}! for {parts}")
     return q
-
-
-def degrees_an(parts: Partition) -> AnDegreeEntry:
-    """Alternating-group degree entry for one conjugacy representative.
-
-    The caller passes one representative per conjugate pair, or the
-    partition itself when self-conjugate.  Non-self-conjugate partitions
-    restrict irreducibly; self-conjugate ones split into two characters of
-    half the degree.  For n <= 1 the group is trivial and the single entry
-    is degree 1.
-    """
-    if is_self_conjugate(parts):
-        if sum(parts) <= 1:
-            return AnDegreeEntry(1, 1)
-        d = degree_sn(parts)
-        half, rem = divmod(d, 2)
-        if rem:
-            raise ArithmeticError(f"odd degree {d} for self-conjugate {parts}")
-        return AnDegreeEntry(half, 2)
-    return AnDegreeEntry(degree_sn(parts), 1)
 
 
 @cache

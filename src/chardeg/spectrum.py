@@ -31,7 +31,6 @@ from .partitions import (
     iter_moves,
     lambda_dn,
     lambda_up,
-    removable_nodes,
 )
 from .report import INCONCLUSIVE, INFORMATIONAL, Inequality, VerificationReport
 
@@ -555,32 +554,6 @@ def sandwich_check(n: int) -> VerificationReport:
         n=n,
         inequalities=ineqs,
         notes=(f"equality={'true' if b_a == b_s else 'false'}",),
-    )
-
-
-@dataclass(frozen=True)
-class BranchDecomposition:
-    """Restriction-induction decomposition of one character.
-
-    Restricting to the point stabilizer and inducing back yields the source
-    character with multiplicity equal to its number of removable corners,
-    plus every single-node-move partition once.
-    """
-
-    source: Partition
-    self_multiplicity: int
-    constituents: tuple[Partition, ...]
-
-    def constituent_count(self) -> int:
-        return 1 + len(self.constituents)
-
-
-def branch_decompose(parts: Partition) -> BranchDecomposition:
-    moves = tuple(moved for _i, _j, moved in iter_moves(parts))
-    return BranchDecomposition(
-        source=parts,
-        self_multiplicity=len(removable_nodes(parts)),
-        constituents=moves,
     )
 
 

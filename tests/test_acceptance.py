@@ -14,7 +14,6 @@ from math import factorial
 import pytest
 
 from chardeg import (
-    branch_decompose,
     build_graph,
     cli,
     count_partitions,
@@ -22,11 +21,13 @@ from chardeg import (
     degree_sn,
     enumerate_partitions,
     epsilon_lower_bounds,
+    iter_moves,
     lambda_dn,
     lambda_up,
     low_degree_count_check_all,
     near_max_count_check_all,
     ratio_lemma_check,
+    removable_nodes,
     sandwich_check,
     spectrum_sn,
     up_dn_ratio,
@@ -127,13 +128,15 @@ def test_criterion_08_graph_structure():
 
 
 def test_criterion_09_branching():
+    # n·χ(1) = |R(λ)|·χ(1) + Σ χ^μ(1) over the single-node moves μ of λ
     for n in range(2, 21):
         for lam in enumerate_partitions(n):
-            d = branch_decompose(lam)
+            moves = [moved for _i, _j, moved in iter_moves(lam)]
             deg = degree_sn(lam)
-            rhs = d.self_multiplicity * deg + sum(degree_sn(c) for c in d.constituents)
+            rhs = len(removable_nodes(lam)) * deg + sum(degree_sn(c) for c in moves)
             assert n * deg == rhs, lam
-            assert d.constituent_count() < 2 * n, lam
+            assert 1 + len(moves) < 2 * n, lam
+            assert len(set(moves)) == len(moves), lam
     verdict(9, "restriction-induction degree identity exact with < 2n constituents (n<=20)")
 
 

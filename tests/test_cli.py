@@ -22,7 +22,7 @@ from chardeg import (
 )
 from chardeg.cache import cache_path, load_spectrum, store_spectrum, write_atomic
 from chardeg.hooks import degree_sn
-from chardeg.partitions import parse_partition
+from chardeg.partitions import format_partition, parse_partition
 from chardeg.serialize import (
     json_text,
     parse_spectrum_json,
@@ -57,6 +57,17 @@ class TestDegree:
         code, out, _ = run(capsys, "degree", "5")
         assert code == 0
         assert "degree: 1" in out
+        # A_1 = S_1: its one character does not split
+        code, out, _ = run(capsys, "degree", "1")
+        assert code == 0
+        assert "self-conjugate: yes" in out
+        assert "alternating degree: 1 x1" in out
+
+    def test_odd_split_degree_raises(self, capsys, monkeypatch):
+        # a character that splits in A_n must have even degree
+        monkeypatch.setattr(cli, "splits", lambda group, members: (2,))
+        with pytest.raises(ArithmeticError, match="odd degree 1"):
+            cli.main(["degree", "3"])
 
     def test_boundary_ratio(self, capsys):
         code, out, _ = run(capsys, "degree", "2,1")
@@ -104,6 +115,18 @@ class TestBranch:
         assert doc["self_multiplicity"] == 2
         got = {c["partition"] for c in doc["constituents"]}
         assert got == {"4", "2,2", "2,1,1"}
+
+
+def test_degree_and_branch_bytes(capsys):
+    # every partition of n = 1..10, both commands, both formats
+    digest = hashlib.md5()
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            for cmd in ("degree", "branch"):
+                for fmt in ("text", "json"):
+                    code, out, _ = run(capsys, cmd, format_partition(lam), "--format", fmt)
+                    digest.update(f"{cmd} {fmt} {code} {out}".encode())
+    assert digest.hexdigest() == "3498ca77062b5babf8e57e0729afbdef"
 
 
 class TestSpectrumCmd:
@@ -167,7 +190,6 @@ class TestSpectrumCmd:
     def test_determinism_across_threads(self, capsys, monkeypatch):
         # the pool starts only above the member cap; no cache is read here
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 12)
-        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         _, out1, _ = run(capsys, "spectrum", "--n", "18", "--format", "json")
         _, out2, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "2")
         _, out3, _ = run(capsys, "spectrum", "--n", "18", "--format", "json", "--threads", "3")
@@ -604,11 +626,12 @@ class TestCache:
         assert path.read_text() == out
         assert loaded(tmp_path, "S", 12) == spec
 
-    def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-        code, _, _ = run(capsys, "spectrum", "--n", "7", "--format", "json")
-        assert code == 0
-        assert cache_path(tmp_path, "S", 7).exists()
+    def test_env_var_is_not_read(self, capsys, tmp_path, monkeypatch):
+        # --cache-dir is the one way to name the cache directory
+        monkeypatch.setenv("CHARDEG_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, "spectrum", "--n", "41", "--format", "json")
+        assert code == 0 and md5(out) == "36e4461473a5b268ce5dd918dfad88b2"
+        assert not any(tmp_path.iterdir())
 
     def test_failed_write_is_a_warning(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
@@ -924,14 +947,15 @@ class TestVerifyCmd:
     @staticmethod
     def walks(capsys, monkeypatch, checks):
         """The store's walks over a ``verify --range 5..12`` run of
-        ``checks``, as (n, shards, leaves per group's classes), and the
-        number of conjugate-pair representatives of each n."""
+        ``checks``, as (n, shards, leaves per group's classes, whether the
+        walk folded in move facts), the number of conjugate-pair
+        representatives of each n, and the store the run left."""
         walks = []
         real_walk = spectrum._pair_shard
         real_add = spectrum._Classes.add
 
         def walk(n, ones, groups, all_members, facts=None):
-            walks.append((n, list(ones), Counter()))
+            walks.append((n, list(ones), Counter(), facts is not None))
             return real_walk(n, ones, groups, all_members, facts)
 
         def add(self, degree, chars):
@@ -944,29 +968,42 @@ class TestVerifyCmd:
         spectrum.clear_spectrum_cache()
         try:
             code, _, _ = run(capsys, "verify", "--range", "5..12", "--checks", checks)
+            store = spectrum._store
         finally:
             spectrum.clear_spectrum_cache()
         assert code == 0
         representatives = Counter(
             n for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
         )
-        return [(n, ones, sorted(leaves.values())) for n, ones, leaves in walks], representatives
+        return [(n, ones, sorted(leaves.values()), facts)
+                for n, ones, leaves, facts in walks], representatives, store
 
     def test_one_hook_product_per_conjugate_pair(self, capsys, monkeypatch):
         # one walk per n over all its shards, whose leaves, one hook product
         # each, are the representatives; the move scans take their degrees
         # from degree_sn
-        walks, representatives = self.walks(capsys, monkeypatch, "all")
-        assert walks == [(n, list(range((n + 1) // 2)), [representatives[n]] * 2)
+        walks, representatives, _ = self.walks(capsys, monkeypatch, "all")
+        assert walks == [(n, list(range((n + 1) // 2)), [representatives[n]] * 2, True)
                          for n in range(5, 13)]
 
     @pytest.mark.parametrize("name", list(cli.CHECKS))
     def test_one_pass_per_n_after_a_theorem(self, capsys, monkeypatch, name):
         # a check that reads the move facts, run after one that does not,
         # still finds them in the n's one walk
-        walks, representatives = self.walks(capsys, monkeypatch, f"theorem1,{name}")
-        assert [(n, leaves) for n, _ones, leaves in walks] == \
+        walks, representatives, _ = self.walks(capsys, monkeypatch, f"theorem1,{name}")
+        assert [(n, leaves) for n, _ones, leaves, _facts in walks] == \
             [(n, [representatives[n]] * 2) for n in range(5, 13)]
+
+    def test_only_the_move_fact_checks_walk_for_facts(self, capsys, monkeypatch):
+        # the six checks that read no move facts never fold them into a
+        # walk, so the store keeps none; count-lemmas asks once per n
+        six = "theorem1,theorem2,sandwich,move-scan,induced-bound,epsilon-bounds"
+        walks, _, store = self.walks(capsys, monkeypatch, six)
+        assert [(n, facts) for n, *_, facts in walks] == [(n, False) for n in range(5, 13)]
+        assert store[1] is None
+        walks, _, store = self.walks(capsys, monkeypatch, six + ",count-lemmas")
+        assert [(n, facts) for n, *_, facts in walks] == [(n, True) for n in range(5, 13)]
+        assert store[1] is not None
 
     def test_store_holds_only_the_last_n(self, capsys, monkeypatch):
         spectrum.clear_spectrum_cache()

@@ -23,7 +23,7 @@ from chardeg import (
 )
 from chardeg.report import FAIL, Inequality
 from chardeg.serialize import graph_from_doc, graph_to_doc, graph_to_dot
-from chardeg.spectrum import DegreeSpectrum
+from chardeg.spectrum import DegreeSpectrum, MoveFacts
 
 
 def union_find_components(n):
@@ -243,12 +243,43 @@ class TestCountChecks:
         # class is 0, 2, 4, 44, so 0, 3, 5, 0 low-degree members fail r=2, 3
         monkeypatch.setattr(graph, "_class_sizes",
                             lambda n: ([100, 60, 10, 1], [1, 1, 20, 3], [0, 1, 2, 22, 25]))
-        monkeypatch.setattr(graph, "_low_degree", lambda n, degrees: ([0, 3, 5, 0], {}))
+        low = {60: [(6, 3), (7, 2), (5, 4)],
+               10: [(4, 4, 1), (3, 3, 3), (5, 2, 2), (4, 3, 2), (3, 3, 2, 1)]}
+        monkeypatch.setattr(spectrum, "move_facts", lambda n: MoveFacts(low=low))
         rep = low_degree_count_check_all(9)
         assert rep.status == FAIL and rep.consistent()
         q = rep.inequalities[0]
         assert (q.label, q.left, q.right) == ("low-degree-members[r=2]", 3, 2)
         assert rep.notes == ("classes=4", "violating r=2", "violating r=3")
+        assert rep.witnesses == ((7, 2), (6, 3), (5, 4))
+
+    def test_one_walk_per_n_from_a_cold_store(self, monkeypatch):
+        # the low-degree checks ask for the move facts before the spectrum,
+        # so the walk is not run once without the facts and again with them
+        walked = []
+        real_walk = spectrum._pair_shard
+
+        def walk(n, *rest):
+            walked.append(n)
+            return real_walk(n, *rest)
+
+        monkeypatch.setattr(spectrum, "_pair_shard", walk)
+        for check in (low_degree_count_check_all, lambda n: low_degree_count_check(n, 2)):
+            spectrum.clear_spectrum_cache()
+            assert check(12).passed
+            assert near_max_count_check_all(12).passed
+            assert walked == [12]
+            walked.clear()
+
+    def test_low_members_are_keyed_by_class_degree(self):
+        # every degree the walk files a low member under is an S_n class
+        # degree, so the per-class counts take in every such member
+        for n in range(5, 31):
+            low = spectrum.move_facts(n).low
+            degrees = spectrum.cached_spectrum("S", n).degrees
+            assert set(low) <= set(degrees), n
+            counts = [len(low.get(d, ())) for d in degrees]
+            assert sum(counts) == sum(len(neighbors(lam)) < 2 for lam in enumerate_partitions(n))
 
     def test_near_max_records_the_smallest_slack(self, monkeypatch):
         # only class 3 (degree 10, 20 characters) fails: no character lies

@@ -7,16 +7,13 @@ from math import factorial
 import pytest
 
 from chardeg import (
-    AnDegreeEntry,
     conjugate,
     count_standard_tableaux,
     degree_sn,
-    degrees_an,
     enumerate_partitions,
     hook_length,
     hook_lengths,
     hook_product,
-    is_self_conjugate,
     lambda_dn,
     lambda_up,
     up_dn_ratio,
@@ -117,33 +114,6 @@ class TestDegrees:
         for n in range(1, 15):
             for lam in enumerate_partitions(n):
                 assert degree_sn(lam) == degree_sn(conjugate(lam))
-
-
-class TestDegreesAn:
-    def test_examples(self):
-        assert degrees_an((4, 1)) == AnDegreeEntry(4, 1)
-        assert degrees_an((3, 1, 1)) == AnDegreeEntry(3, 2)
-        assert degrees_an((1,)) == AnDegreeEntry(1, 1)
-
-    def test_split_rule(self):
-        for n in range(2, 16):
-            for lam in enumerate_partitions(n):
-                entry = degrees_an(lam)
-                if is_self_conjugate(lam):
-                    assert entry.count == 2
-                    assert entry.degree * 2 == degree_sn(lam)
-                else:
-                    assert entry == AnDegreeEntry(degree_sn(lam), 1)
-
-    def test_mass_over_representatives(self):
-        # one representative per conjugate pair carries |A_n| exactly
-        for n in range(2, 20):
-            total = 0
-            for lam in enumerate_partitions(n):
-                if lam >= conjugate(lam):
-                    entry = degrees_an(lam)
-                    total += entry.count * entry.degree**2
-            assert total == factorial(n) // 2
 
 
 class TestUpDnRatio:

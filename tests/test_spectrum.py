@@ -12,7 +12,6 @@ from math import factorial, prod
 import pytest
 
 from chardeg import (
-    branch_decompose,
     cached_spectrum,
     conjugate,
     count_standard_tableaux,
@@ -23,8 +22,10 @@ from chardeg import (
     format_partition,
     hook_product,
     induced_bound_check,
+    iter_moves,
     move_scan_verify,
     neighbors,
+    removable_nodes,
     sandwich_check,
     spectrum_an,
     spectrum_sn,
@@ -510,6 +511,33 @@ class TestPoolSize:
         assert pool_size(10**6, 60, 10**6) == 60
 
 
+class TestSplits:
+    """The A_n split rule, which the walk applies and ``degree`` reads: a
+    self-conjugate representative stands for two characters of half its
+    S_n degree, any other for one of the same degree."""
+
+    def test_examples(self):
+        assert splits("A", ((4, 1),)) == (1,)
+        assert splits("A", ((3, 1, 1),)) == (2,)
+        assert splits("A", ((4, 1), (3, 1, 1))) == (1, 2)
+        assert splits("S", ((3, 1, 1),)) == (1,)
+
+    def test_split_rule(self):
+        for n in range(2, 20):
+            for lam in enumerate_partitions(n):
+                (count,) = splits("A", (lam,))
+                assert count == (2 if lam == conjugate(lam) else 1), lam
+                assert degree_sn(lam) % count == 0, lam
+
+    def test_mass_over_representatives(self):
+        # one representative per conjugate pair carries |A_n| exactly
+        for n in range(2, 20):
+            reps = tuple(lam for lam in enumerate_partitions(n) if lam >= conjugate(lam))
+            total = sum(count * (degree_sn(lam) // count) ** 2
+                        for lam, count in zip(reps, splits("A", reps)))
+            assert total == factorial(n) // 2
+
+
 class TestSpectrumAn:
     def test_a5(self):
         spec = spectrum_an(5)
@@ -717,33 +745,22 @@ class TestSandwich:
 
 
 class TestBranchDecompose:
+    """Restricting χ^λ to S_{n-1} and inducing back gives χ^λ once per
+    removable node of λ and each single-node move of λ once; criterion 09
+    checks the degree identity over n <= 20."""
+
     def test_example_31(self):
-        d = branch_decompose((3, 1))
-        assert d.self_multiplicity == 2
-        assert set(d.constituents) == {(4,), (2, 2), (2, 1, 1)}
+        assert len(removable_nodes((3, 1))) == 2
+        assert {moved for _i, _j, moved in iter_moves((3, 1))} == {(4,), (2, 2), (2, 1, 1)}
         assert 4 * degree_sn((3, 1)) == 2 * 3 + 1 + 2 + 3
 
     def test_example_single_row(self):
-        d = branch_decompose((6,))
-        assert d.self_multiplicity == 1
-        assert d.constituents == ((5, 1),)
+        assert len(removable_nodes((6,))) == 1
+        assert [moved for _i, _j, moved in iter_moves((6,))] == [(5, 1)]
 
     def test_example_22(self):
-        d = branch_decompose((2, 2))
-        assert d.self_multiplicity == 1
-        assert set(d.constituents) == {(3, 1), (2, 1, 1)}
-
-    def test_degree_identity_and_count(self):
-        for n in range(2, 21):
-            for lam in enumerate_partitions(n):
-                d = branch_decompose(lam)
-                lhs = n * degree_sn(lam)
-                rhs = d.self_multiplicity * degree_sn(lam) + sum(
-                    degree_sn(c) for c in d.constituents
-                )
-                assert lhs == rhs
-                assert d.constituent_count() < 2 * n
-                assert len(set(d.constituents)) == len(d.constituents)
+        assert len(removable_nodes((2, 2))) == 1
+        assert {moved for _i, _j, moved in iter_moves((2, 2))} == {(3, 1), (2, 1, 1)}
 
 
 class TestInducedBound:

@@ -1,6 +1,7 @@
 """The benchmark still runs against the library: its tracer finds every
 name it wraps, and its checker accepts what the CLI prints.  Every source
-file parses at the oldest Python that pyproject.toml supports."""
+file parses at the oldest Python that pyproject.toml supports, and the
+library reads no environment variable."""
 
 import ast
 import hashlib
@@ -39,8 +40,7 @@ def test_tracer_counts_cache_traffic(tmp_path):
     # a cold then a warm traced spectrum above the member cap, the only
     # spectra the cache keeps, run the tracer's load and store wrappers
     cache_dir = tmp_path / "cache"
-    env = {k: v for k, v in os.environ.items() if k != "CHARDEG_CACHE_DIR"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     counts = []
     for run in ("cold", "warm"):
         out = tmp_path / f"{run}.json"
@@ -68,8 +68,7 @@ def test_tracer_passes_a_csv_hit_through(tmp_path):
     # the tracer's load wrapper hands on whatever load_spectrum returns, so
     # a warm csv run renders the loaded spectrum and prints the cold bytes
     cache_dir = tmp_path / "cache"
-    env = {k: v for k, v in os.environ.items() if k != "CHARDEG_CACHE_DIR"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     runs = []
     for run in ("cold", "warm"):
         out = tmp_path / f"{run}.json"
@@ -111,8 +110,7 @@ def test_tracer_counts_pool_workers(tmp_path):
     # the tracer rebinds spectrum.ProcessPoolExecutor, which _build looks up
     # when it starts the pool
     out = tmp_path / "trace.json"
-    env = {k: v for k, v in os.environ.items() if k != "CHARDEG_CACHE_DIR"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/tracer.py", str(out), "--", "spectrum", "--n", "41",
          "--threads", "2", "--format", "json"],
@@ -157,3 +155,21 @@ def test_sources_parse_at_the_python_floor():
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def test_library_reads_no_environment_variable():
+    # a setting is a command-line flag, never a hidden knob
+    env_reads = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted((ROOT / "src" / "chardeg").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                hit = isinstance(node.value, ast.Name) and node.value.id == "os" \
+                    and node.attr in env_reads
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "os" and any(a.name in env_reads for a in node.names)
+            else:
+                continue
+            if hit:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
