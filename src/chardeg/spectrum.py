@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import gc
 import os
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial, prod
-from operator import add, mul
+from operator import add, mul, neg
 
 from .exact import decimal_str, induction_bound
 from .hooks import degree_sn, hook_product
@@ -131,31 +132,31 @@ def check_invariants(spec: DegreeSpectrum) -> DegreeSpectrum:
 
 
 class _Classes:
-    """Characters per degree for one group, with the members of every degree
-    or only of the two largest degrees added so far.
+    """The walk's conjugate pairs λ ≠ λ′ per degree, with the members of
+    every degree or only of the two largest degrees added so far.
 
-    ``chars`` maps a degree to its number of characters, and ``members`` a
-    degree to its list of partitions.  A degree that drops out of the top
-    two loses its members at once; ``floor`` is then the smaller of the two,
-    and a new degree below it keeps none.
+    ``counts`` maps a degree to its number of pairs, and ``members`` a
+    degree to its partitions, λ then λ′ of each pair.  A degree that drops
+    out of the top two loses its members at once; ``floor`` is then the
+    smaller of the two, and a new degree below it keeps none.
     """
 
-    __slots__ = ("chars", "members", "all_members", "floor")
+    __slots__ = ("counts", "members", "all_members", "floor")
 
     def __init__(self, all_members: bool):
-        self.chars: dict[int, int] = {}
+        self.counts: dict[int, int] = {}
         self.members: dict[int, list[Partition]] = {}
         self.all_members = all_members
         self.floor = 0
 
-    def add(self, degree: int, chars: int) -> list[Partition] | None:
-        """Count ``chars`` more characters of ``degree``; return the list
-        that takes their members when the degree keeps its members, else
-        None, so a caller builds members only where they are kept."""
-        if degree in self.chars:
-            self.chars[degree] += chars
+    def add(self, degree: int, count: int) -> list[Partition] | None:
+        """Count ``count`` more pairs of ``degree``; return the list that
+        takes their members when the degree keeps its members, else None,
+        so a caller builds members only where they are kept."""
+        if degree in self.counts:
+            self.counts[degree] += count
             return self.members.get(degree)
-        self.chars[degree] = chars
+        self.counts[degree] = count
         if degree < self.floor:
             return None
         held = self.members
@@ -200,8 +201,8 @@ class MoveFacts:
 
 
 def _pair_shard(
-    n: int, ones, groups: str, all_members: bool, facts: MoveFacts | None = None,
-) -> dict[str, tuple[dict[int, int], dict[int, list[Partition]]]]:
+    n: int, ones, all_members: bool, facts: MoveFacts | None = None,
+) -> tuple[_Classes, list[tuple[int, Partition]]]:
     """Degrees over the conjugate-pair representatives λ = (f, μ) of n whose
     rows under the first, μ, end in exactly t parts 1, for each t in ``ones``.
 
@@ -215,19 +216,18 @@ def _pair_shard(
     (r − c + μ′_c), the last r − μ_1 factors being (r − μ_1)!, and a leaf's
     degree is one exact division n!/H(λ).
 
-    Returns group -> (``_Classes.chars``, ``_Classes.members``) for each
-    group in ``groups``.  In the symmetric group a pair counts twice and
-    both partitions are members, λ before λ'; in the alternating group a
-    self-conjugate representative splits into two characters of half the
-    degree.  λ and λ′ are built only on a tie, or where a class or
-    ``facts``, into which both are folded, keeps them.
+    Returns the pairs λ ≠ λ′ as one ``_Classes``, one count per pair, whose
+    kept members are λ, λ′ in turn, and the self-conjugate leaves as
+    (degree, λ); ``_spectrum`` reads S_n or A_n from the two.  λ and λ′ are
+    built only on a tie, or where the classes or ``facts``, into which both
+    are folded, keep them.
     """
     fact = [1]
     for k in range(1, n + 2):
         fact.append(fact[-1] * k)
     steps = range(1, n + 1)
-    sym = _Classes(all_members) if "S" in groups else None
-    alt = _Classes(all_members) if "A" in groups else None
+    pairs = _Classes(all_members)
+    selfconj = []
     interior = 0
     violations = []
 
@@ -247,15 +247,12 @@ def _pair_shard(
             lam, conj = (f,) + mu, tuple(map(add, q, steps)) + (1,) * (f - width)
             if lam < conj:
                 return
-        split = lam is not None and lam == conj  # self-conjugate, so split in A_n
-        kept_s = kept_a = low = ratio = None
-        if sym is not None:
-            kept_s = sym.add(d, 2 - split)
-        if alt is not None:
-            d_a, odd = divmod(d, 2) if split else (d, 0)
-            if odd:
-                raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
-            kept_a = alt.add(d_a, 1 + split)
+        split = lam is not None and lam == conj
+        kept = low = ratio = None
+        if split:
+            selfconj.append((d, lam))
+        else:
+            kept = pairs.add(d, 1)
         if facts is not None:
             if rows and mu[-1] == 1 and f > width:
                 interior += 2 - split
@@ -264,14 +261,12 @@ def _pair_shard(
                     ratio = Fraction(top, bottom)
             else:
                 low = facts.low.setdefault(d, [])
-        if kept_s is not None or kept_a is not None or low is not None or ratio is not None:
+        if kept is not None or low is not None or ratio is not None:
             if lam is None:
                 lam, conj = (f,) + mu, tuple(map(add, q, steps)) + (1,) * (f - width)
             pair = (lam,) if split else (lam, conj)
-            if kept_s is not None:
-                kept_s += pair
-            if kept_a is not None:
-                kept_a.append(lam)
+            if kept is not None:
+                kept += pair
             if low is not None:
                 low += pair
             if ratio is not None:
@@ -291,30 +286,46 @@ def _pair_shard(
             walk((r,) + mu, raised + new_cols[:r - width],
                  h_mu * prod(hooks) * fact[r - width], m + r, above)
 
-    for t in ones:  # 1^t: μ′ = (t,), and the first hooks above its bottom row are t, ..., 2
-        column = (fact[t - 1] * fact[t + 1] // 2, fact[t]) if t else (1, 1)
-        walk((1,) * t, [t] if t else [], fact[t], t, column)
+    try:
+        for t in ones:  # 1^t: μ′ = (t,), and the first hooks above its bottom row are t, ..., 2
+            column = (fact[t - 1] * fact[t + 1] // 2, fact[t]) if t else (1, 1)
+            walk((1,) * t, [t] if t else [], fact[t], t, column)
+    finally:
+        del walk  # walk refers to itself through its cell: clear it, so no cycle outlives the pass
     if facts is not None:
         facts.interior += interior
         violations.sort(key=lambda v: v[0], reverse=True)
         facts.violations += [(v, ratio) for _lam, pair, ratio in violations for v in pair]
-    return {g: (c.chars, c.members) for g, c in (("S", sym), ("A", alt)) if c is not None}
+    return pairs, selfconj
 
 
 def _spectrum(
-    n: int, group: str, chars: dict[int, int], members: dict[int, list[Partition]]
+    n: int, group: str, pairs: _Classes, selfconj: list[tuple[int, Partition]]
 ) -> DegreeSpectrum:
-    """The spectrum of a ``_Classes``' counts and members.  The degrees that
-    keep members are the leading ones, so they fill ``members`` in order,
-    each sorted descending."""
-    degrees = sorted(chars, reverse=True)
-    kept = []
-    for deg in degrees[:len(members)]:
-        lams = members[deg]
-        lams.sort(reverse=True)
-        kept.append(tuple(lams))
-    return check_invariants(DegreeSpectrum(
-        n, group, tuple(degrees), tuple(map(chars.__getitem__, degrees)), tuple(kept)))
+    """The spectrum of S_n or A_n from the walk's pairs and self-conjugate
+    leaves.  A pair λ ≠ λ′ of degree d gives S_n two characters of degree d,
+    members λ and λ′, and A_n one, member λ; a self-conjugate λ gives S_n
+    one of degree d and A_n ``splits`` of degree d/2, so an odd d raises
+    ArithmeticError.  Outside ``pairs.all_members`` only the two largest
+    pair degrees keep members.  Both are degrees of the group, so each of
+    the group's two largest degrees is one of them or a self-conjugate
+    degree (halved in A_n), and every self-conjugate leaf is listed: the
+    leading classes find all their members, each sorted descending."""
+    alt = group == "A"
+    counts = pairs.counts
+    extra: dict[int, list[Partition]] = {}
+    for d, lam in selfconj:
+        if alt and d % 2:
+            raise ArithmeticError(f"odd degree {d} for self-conjugate {lam}")
+        extra.setdefault(d // 2 if alt else d, []).append(lam)
+    degrees = sorted(chain(counts, [d for d in extra if d not in counts]), reverse=True)
+    sizes = list(map(mul, map(counts.get, degrees, repeat(0)), repeat(1 if alt else 2)))
+    for d, lams in extra.items():
+        sizes[bisect_left(degrees, -d, key=neg)] += sum(splits(group, lams))
+    step = 2 if alt else 1  # A_n's member of a pair λ, λ′ is λ
+    kept = tuple(tuple(sorted(pairs.members.get(d, [])[::step] + extra.get(d, []), reverse=True))
+                 for d in degrees[:len(degrees) if pairs.all_members else 2])
+    return check_invariants(DegreeSpectrum(n, group, tuple(degrees), tuple(sizes), kept))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -331,9 +342,9 @@ def ProcessPoolExecutor(*args, **kwargs):
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector for a pass that allocates many
-    objects and no reference cycles, and restore its previous state after,
-    also when the pass raises.  The walk, the merge of a pool's shards and
-    the cache's parse run inside it."""
+    objects and leaves no reference cycle behind, and restore its previous
+    state after, also when the pass raises.  The walk, the merge of a pool's
+    shards and the cache's parse run inside it."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -351,35 +362,32 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
 
 
 def _build(
-    n: int, groups: str, all_members: bool, threads: int = 1, facts: MoveFacts | None = None,
-) -> dict[str, DegreeSpectrum]:
-    """The spectra of n for each group in ``groups``, from a process pool
-    sharded by the number of parts equal to 1 above MEMBER_CAP with two or
-    more workers, else from one sequential walk that also fills ``facts``
-    when given.  Classes keep every member with ``all_members``, else only
-    those of the top two classes.  The walk allocates no reference cycles,
-    so it runs in ``gc_paused``."""
+    n: int, all_members: bool, threads: int = 1, facts: MoveFacts | None = None,
+) -> tuple[_Classes, list[tuple[int, Partition]]]:
+    """The pairs and self-conjugate leaves of n, for ``_spectrum``, from a
+    process pool sharded by the number of parts equal to 1 above MEMBER_CAP
+    with two or more workers, else from one sequential walk that also fills
+    ``facts`` when given.  The pairs keep every member with
+    ``all_members``, else only those of the two largest degrees.  The walk
+    and the merge leave no reference cycle behind, so they run in
+    ``gc_paused``."""
     ones = range((n + 1) // 2)  # 1^t needs a first part of at least t + 1
     workers = pool_size(threads, len(ones), os.cpu_count())
     with gc_paused():
-        if workers > 1 and n > MEMBER_CAP:
-            # each shard keeps its own top two degrees, so merging keeps the
-            # global top two; shards are merged, and dropped, as they arrive
-            merged = {g: _Classes(all_members) for g in groups}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                shards = pool.map(_pair_shard, [n] * len(ones), [(t,) for t in ones],
-                                  [groups] * len(ones), [all_members] * len(ones))
-                for shard in shards:
-                    for g in groups:
-                        chars, members = shard[g]
-                        for deg, k in chars.items():
-                            kept = merged[g].add(deg, k)
-                            if kept is not None:
-                                kept += members.get(deg, ())
-            classes = {g: (c.chars, c.members) for g, c in merged.items()}
-        else:
-            classes = _pair_shard(n, ones, groups, all_members, facts)
-        return {g: _spectrum(n, g, *classes[g]) for g in groups}
+        if workers <= 1 or n <= MEMBER_CAP:
+            return _pair_shard(n, ones, all_members, facts)
+        # each shard keeps its own top two degrees, so merging keeps the
+        # global top two; shards are merged, and dropped, as they arrive
+        pairs, selfconj = _Classes(all_members), []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for shard, shard_selfconj in pool.map(_pair_shard, [n] * len(ones),
+                                                  [(t,) for t in ones], [all_members] * len(ones)):
+                for deg, k in shard.counts.items():
+                    kept = pairs.add(deg, k)
+                    if kept is not None:
+                        kept += shard.members.get(deg, ())
+                selfconj += shard_selfconj
+        return pairs, selfconj
 
 
 def _check_n(n: int, lo: int, max_n: int) -> None:
@@ -397,13 +405,13 @@ def spectrum_sn(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> Degr
     independent of the worker count.
     """
     _check_n(n, 1, max_n)
-    return _build(n, "S", n <= MEMBER_CAP, threads)["S"]
+    return _spectrum(n, "S", *_build(n, n <= MEMBER_CAP, threads))
 
 
 def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> DegreeSpectrum:
     """Complete exact degree spectrum of the alternating group on n points."""
     _check_n(n, 2, max_n)
-    return _build(n, "A", n <= MEMBER_CAP, threads)["A"]
+    return _spectrum(n, "A", *_build(n, n <= MEMBER_CAP, threads))
 
 
 def has_built_members(spec: DegreeSpectrum) -> bool:
@@ -453,14 +461,14 @@ def _current(n: int, facts: bool = False) -> tuple[int, MoveFacts | None, dict[s
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
         moves = MoveFacts() if facts else None
-        spectra = _build(n, "SA" if n >= 2 else "S", False, facts=moves)
+        classes = _build(n, False, facts=moves)
         if moves is not None:
             covered = moves.interior + sum(map(len, moves.low.values()))
             if covered != count_partitions(n):
                 raise ArithmeticError(
                     f"move facts of {n} cover {covered} of {count_partitions(n)} partitions"
                 )
-        _store = (n, moves, spectra)
+        _store = (n, moves, {g: _spectrum(n, g, *classes) for g in ("SA" if n >= 2 else "S")})
     return _store
 
 

@@ -179,8 +179,11 @@ class TestSpectrumCmd:
             (("--n", "24", "--group", "a", "--format", "json"), "17bce929179402b57734cdd30c4dd251"),
             (("--n", "41", "--group", "s", "--format", "json"), "36e4461473a5b268ce5dd918dfad88b2"),
             (("--n", "41", "--group", "a", "--format", "json"), "68af6f8d2340e843d6307f73a6099b5f"),
+            # above the cap, with A_44's top two below a self-conjugate maximizer
+            (("--n", "44", "--group", "s", "--format", "json"), "815adc12f270cc1f4cdc2995cd262bdd"),
+            (("--n", "44", "--group", "a", "--format", "json"), "95dfe3193f492cd76e9bd2b57376496c"),
         ],
-        ids=["a24-text", "a24-csv", "a24-json", "s41-json", "a41-json"],
+        ids=["a24-text", "a24-csv", "a24-json", "s41-json", "a41-json", "s44-json", "a44-json"],
     )
     def test_golden_bytes(self, capsys, argv, expected, threads):
         code, out, _ = run(capsys, "spectrum", *argv, "--threads", threads)
@@ -947,23 +950,20 @@ class TestVerifyCmd:
     @staticmethod
     def walks(capsys, monkeypatch, checks):
         """The store's walks over a ``verify --range 5..12`` run of
-        ``checks``, as (n, shards, leaves per group's classes, whether the
-        walk folded in move facts), the number of conjugate-pair
-        representatives of each n, and the store the run left."""
+        ``checks``, as (n, shards, leaves, whether the walk folded in move
+        facts), the number of conjugate-pair representatives of each n, and
+        the store the run left.  A leaf is a pair, counted once in the one
+        class table, or a self-conjugate partition."""
         walks = []
         real_walk = spectrum._pair_shard
-        real_add = spectrum._Classes.add
 
-        def walk(n, ones, groups, all_members, facts=None):
-            walks.append((n, list(ones), Counter(), facts is not None))
-            return real_walk(n, ones, groups, all_members, facts)
-
-        def add(self, degree, chars):
-            walks[-1][2][id(self)] += 1  # one call per leaf and group
-            return real_add(self, degree, chars)
+        def walk(n, ones, all_members, facts=None):
+            pairs, selfconj = real_walk(n, ones, all_members, facts)
+            leaves = sum(pairs.counts.values()) + len(selfconj)
+            walks.append((n, list(ones), leaves, facts is not None))
+            return pairs, selfconj
 
         monkeypatch.setattr(spectrum, "_pair_shard", walk)
-        monkeypatch.setattr(spectrum._Classes, "add", add)
         # an empty store, so every n of the run is built here
         spectrum.clear_spectrum_cache()
         try:
@@ -975,15 +975,14 @@ class TestVerifyCmd:
         representatives = Counter(
             n for n in range(5, 13) for lam in enumerate_partitions(n) if lam >= conjugate(lam)
         )
-        return [(n, ones, sorted(leaves.values()), facts)
-                for n, ones, leaves, facts in walks], representatives, store
+        return walks, representatives, store
 
     def test_one_hook_product_per_conjugate_pair(self, capsys, monkeypatch):
         # one walk per n over all its shards, whose leaves, one hook product
-        # each, are the representatives; the move scans take their degrees
-        # from degree_sn
+        # each, are the representatives, each filed once for S_n and A_n;
+        # the move scans take their degrees from degree_sn
         walks, representatives, _ = self.walks(capsys, monkeypatch, "all")
-        assert walks == [(n, list(range((n + 1) // 2)), [representatives[n]] * 2, True)
+        assert walks == [(n, list(range((n + 1) // 2)), representatives[n], True)
                          for n in range(5, 13)]
 
     @pytest.mark.parametrize("name", list(cli.CHECKS))
@@ -992,7 +991,7 @@ class TestVerifyCmd:
         # still finds them in the n's one walk
         walks, representatives, _ = self.walks(capsys, monkeypatch, f"theorem1,{name}")
         assert [(n, leaves) for n, _ones, leaves, _facts in walks] == \
-            [(n, [representatives[n]] * 2) for n in range(5, 13)]
+            [(n, representatives[n]) for n in range(5, 13)]
 
     def test_only_the_move_fact_checks_walk_for_facts(self, capsys, monkeypatch):
         # the six checks that read no move facts never fold them into a

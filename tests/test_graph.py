@@ -175,7 +175,7 @@ class TestRatioLemma:
         monkeypatch.setattr(spectrum, "_ratio_terms", recorded)
         for n in range(1, 21):
             seen.clear()
-            spectrum._pair_shard(n, range((n + 1) // 2), "S", False, spectrum.MoveFacts())
+            spectrum._pair_shard(n, range((n + 1) // 2), False, spectrum.MoveFacts())
             interior = set()
             for lam in enumerate_partitions(n):
                 conj = conjugate(lam)
@@ -192,8 +192,8 @@ class TestRatioLemma:
         # store builds them, before any check reads them or the store is set
         real = spectrum._pair_shard
 
-        def lossy(n, ones, groups, all_members, facts=None):
-            classes = real(n, ones, groups, all_members, facts)
+        def lossy(n, ones, all_members, facts=None):
+            classes = real(n, ones, all_members, facts)
             if facts is not None:
                 if dropped == "low":
                     facts.low[min(facts.low)].pop()

@@ -40,6 +40,7 @@ from chardeg.report import FAIL, INCONCLUSIVE, INFORMATIONAL, PASS, Inequality, 
 from chardeg.spectrum import (
     MEMBER_CAP,
     DegreeSpectrum,
+    MoveFacts,
     check_invariants,
     complete,
     group_order_of,
@@ -351,9 +352,10 @@ class TestWalk:
     """The walk over the suffix trie against references that list every
     partition of n."""
 
-    def test_against_the_partitions_of_n(self):
-        # classes, top-two members and move facts from degree_sn,
-        # neighbors and up_dn_ratio over enumerate_partitions
+    def test_against_the_partitions_of_n(self, monkeypatch):
+        # classes, members and move facts from degree_sn, neighbors and
+        # up_dn_ratio over enumerate_partitions: the store's top two, every
+        # member below the cap, and the top two of a 2-worker pool build
         for n in range(2, 31):
             degree = {lam: degree_sn(lam) for lam in enumerate_partitions(n)}
             s_sizes, a_sizes, a_members = Counter(degree.values()), Counter(), {}
@@ -372,14 +374,22 @@ class TestWalk:
                     interior += 1
                 else:
                     low.setdefault(d, []).append(lam)
-            s_spec, a_spec = cached_spectrum("S", n), cached_spectrum("A", n)
-            assert list(zip(s_spec.degrees, s_spec.sizes)) == sorted(s_sizes.items())[::-1]
-            assert list(zip(a_spec.degrees, a_spec.sizes)) == sorted(a_sizes.items())[::-1]
-            for d, lams in zip(s_spec.degrees, s_spec.members):
-                assert list(lams) == sorted((lam for lam in degree if degree[lam] == d),
-                                            reverse=True)
-            for d, lams in zip(a_spec.degrees, a_spec.members):
-                assert list(lams) == sorted(a_members[d], reverse=True)
+            built = [(cached_spectrum(g, n), False) for g in "SA"] + \
+                [(spectrum_sn(n), True), (spectrum_an(n), True)]
+            with monkeypatch.context() as m:
+                m.setattr(spectrum, "ProcessPoolExecutor", InlinePool)
+                m.setattr(spectrum, "MEMBER_CAP", 0)
+                m.setattr(spectrum.os, "cpu_count", lambda: 2)
+                built += [(spectrum_sn(n, threads=2), False), (spectrum_an(n, threads=2), False)]
+            for spec, every in built:
+                sizes = s_sizes if spec.group == "S" else a_sizes
+                assert list(zip(spec.degrees, spec.sizes)) == sorted(sizes.items())[::-1], n
+                assert len(spec.members) == (len(spec.degrees) if every else
+                                             min(2, len(spec.degrees))), (spec.group, n)
+                for d, lams in zip(spec.degrees, spec.members):
+                    want = a_members[d] if spec.group == "A" else \
+                        [lam for lam in degree if degree[lam] == d]
+                    assert list(lams) == sorted(want, reverse=True), (spec.group, n, d)
             facts = move_facts(n)
             assert (facts.interior, facts.violations) == (interior, violations), n
             assert {d: sorted(v) for d, v in facts.low.items()} == \
@@ -387,12 +397,18 @@ class TestWalk:
 
     def test_each_representative_is_one_leaf(self):
         # shard t holds the representatives with t parts 1 below the first
-        # row, so the shards share no leaf and together hold each once
+        # row, so the shards share no leaf and together hold each once: a
+        # pair as λ then λ', counted once, or a self-conjugate leaf
         for n in range(2, 31):
             leaves = []
             for t in range((n + 1) // 2):
-                chars, members = spectrum._pair_shard(n, (t,), "A", True)["A"]
-                shard = [lam for kept in members.values() for lam in kept]
+                pairs, selfconj = spectrum._pair_shard(n, (t,), True)
+                shard = [lam for kept in pairs.members.values() for lam in kept[::2]]
+                assert [conjugate(lam) for kept in pairs.members.values() for lam in kept[::2]] \
+                    == [conj for kept in pairs.members.values() for conj in kept[1::2]]
+                assert sum(pairs.counts.values()) == len(shard), (n, t)
+                assert all(d == degree_sn(lam) and lam == conjugate(lam) for d, lam in selfconj)
+                shard += [lam for _d, lam in selfconj]
                 assert all(lam[1:].count(1) == t for lam in shard), (n, t)
                 leaves += shard
             assert sorted(leaves, reverse=True) == [lam for lam, _ in representatives(n)]
@@ -403,11 +419,49 @@ class TestWalk:
         monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 2)
         InlinePool.started = 0
         for n in range(1, 31):
-            groups = "SA" if n >= 2 else "S"
             for all_members in (True, False):
-                assert spectrum._build(n, groups, all_members, threads=2) == \
-                    spectrum._build(n, groups, all_members), (n, all_members)
+                pooled = spectrum._build(n, all_members, threads=2)
+                walked = spectrum._build(n, all_members)
+                for group in "SA" if n >= 2 else "S":
+                    assert spectrum._spectrum(n, group, *pooled) == \
+                        spectrum._spectrum(n, group, *walked), (n, group, all_members)
         assert InlinePool.started == 2 * 28  # one pool per build from n = 3
+
+    def test_no_walk_outlives_its_pass(self, monkeypatch):
+        # the walk calls itself through its closure cell; with the collector
+        # off, no walk may be left alive once a pass returns or raises
+        def alive():
+            return [obj for obj in gc.get_objects()
+                    if getattr(obj, "__qualname__", None) == "_pair_shard.<locals>.walk"]
+
+        def broken(*args):
+            raise ArithmeticError("a ratio failed")
+
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            spectrum._pair_shard(20, range(10), False, MoveFacts())
+            assert alive() == []
+            monkeypatch.setattr(spectrum, "_ratio_terms", broken)
+            raised = False  # pytest.raises would keep the traceback, and the walk, alive
+            try:
+                spectrum._pair_shard(20, range(10), False, MoveFacts())
+            except ArithmeticError:
+                raised = True
+            assert raised and alive() == []
+        finally:
+            if was:
+                gc.enable()
+
+    def test_odd_self_conjugate_degree_raises_in_a_n(self):
+        # the split rule halves a self-conjugate degree in A_n, so a leaf
+        # of odd degree is refused where A_n is read from the table
+        pairs, selfconj = spectrum._pair_shard(3, range(2), True)
+        assert selfconj == [(2, (2, 1))]
+        assert spectrum._spectrum(3, "A", pairs, selfconj).degrees == (1,)
+        with pytest.raises(ArithmeticError, match="odd degree 3 for self-conjugate"):
+            spectrum._spectrum(3, "A", pairs, [(3, (2, 1))])
 
     def test_pool_at_50_equals_one_worker(self):
         for build in (spectrum_sn, spectrum_an):
@@ -486,14 +540,15 @@ class TestMembersDescending:
                 assert_members_descending(spec)
 
     def test_any_arrival_order(self):
-        # members arriving in reverse, a pair as (λ', λ), are still sorted
+        # pairs and self-conjugate leaves arriving in reverse are still
+        # sorted, and reading S_n leaves the table as A_n needs it
         for n in range(2, 23):
-            classes = spectrum._pair_shard(n, range((n + 1) // 2), "SA", True)
+            pairs, selfconj = spectrum._pair_shard(n, range((n + 1) // 2), True)
+            for kept in pairs.members.values():
+                kept[:] = [lam for i in range(len(kept) - 2, -1, -2) for lam in kept[i:i + 2]]
+            selfconj.reverse()
             for group, build in (("S", spectrum_sn), ("A", spectrum_an)):
-                chars, members = classes[group]
-                for kept in members.values():
-                    kept.reverse()
-                assert spectrum._spectrum(n, group, chars, members) == build(n)
+                assert spectrum._spectrum(n, group, pairs, selfconj) == build(n)
 
 
 class TestPoolSize:
