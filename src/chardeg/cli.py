@@ -165,7 +165,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     group = args.group.upper()
     cache_dir = args.cache_dir
     if args.n <= spectrum.MEMBER_CAP:
-        cache_dir = None  # here a load is no faster than a build
+        # the cache keeps only spectra above the cap, whose members are the top
+        # two (has_built_members), and store_spectrum refuses any other
+        cache_dir = None
     hit = load_spectrum(cache_dir, group, args.n) if cache_dir else None
     if hit is not None:
         spec, text = hit  # the load proved text is spectrum_json(spec)

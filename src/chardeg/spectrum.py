@@ -201,7 +201,7 @@ class MoveFacts:
 
 
 def _pair_shard(
-    n: int, ones, all_members: bool, facts: MoveFacts | None = None,
+    n: int, ones, all_members: bool = False, facts: MoveFacts | None = None,
 ) -> tuple[_Classes, list[tuple[int, Partition]]]:
     """Degrees over the conjugate-pair representatives λ = (f, μ) of n whose
     rows under the first, μ, end in exactly t parts 1, for each t in ``ones``.
@@ -214,13 +214,15 @@ def _pair_shard(
     leaf and shards share no node.  A top row r changes no hook below it, so
     a node carries H(μ) up from its parent, H((r, μ)) = H(μ)·∏_{c<r}
     (r − c + μ′_c), the last r − μ_1 factors being (r − μ_1)!, and a leaf's
-    degree is one exact division n!/H(λ).
+    degree is one exact division n!/H(λ).  The walk is one loop over a list
+    of pending nodes, so it leaves no reference cycle behind.
 
     Returns the pairs λ ≠ λ′ as one ``_Classes``, one count per pair, whose
     kept members are λ, λ′ in turn, and the self-conjugate leaves as
-    (degree, λ); ``_spectrum`` reads S_n or A_n from the two.  λ and λ′ are
-    built only on a tie, or where the classes or ``facts``, into which both
-    are folded, keep them.
+    (degree, λ); ``_spectrum`` reads S_n or A_n from the two.  The pairs
+    keep every member with ``all_members``, else only those of the two
+    largest degrees.  λ and λ′ are built only on a tie, or where the classes
+    or ``facts``, into which both are folded, keep them.
     """
     fact = [1]
     for k in range(1, n + 2):
@@ -228,13 +230,15 @@ def _pair_shard(
     steps = range(1, n + 1)
     pairs = _Classes(all_members)
     selfconj = []
-    interior = 0
     violations = []
-
-    def walk(mu: Partition, q: list[int], h_mu: int, m: int, column: tuple[int, int]) -> None:
-        # q[c] = μ′_c − c for c < μ_1, so the hooks of a row r on top are r + q[c];
-        # column is (∏(h²−1), ∏h) over the first hooks of the rows above μ's bottom row
-        nonlocal interior
+    # a node is (μ, q, H(μ), m, column): q[c] = μ′_c − c for c < μ_1, so the
+    # hooks of a row r on top are r + q[c], and column is (∏(h²−1), ∏h) over
+    # the first hooks of the rows above μ's bottom row; 1^t has μ′ = (t,),
+    # and the first hooks above its bottom row are t, ..., 2
+    pending = [((1,) * t, [t] if t else [], fact[t], t,
+                (fact[t - 1] * fact[t + 1] // 2, fact[t]) if t else (1, 1)) for t in ones]
+    while pending:
+        mu, q, h_mu, m, column = pending.pop()
         f = n - m
         rows = len(mu)
         width = len(q)
@@ -246,7 +250,7 @@ def _pair_shard(
         if rows + 1 == f:  # a tie: no row fits above it, so the node has no child
             lam, conj = (f,) + mu, tuple(map(add, q, steps)) + (1,) * (f - width)
             if lam < conj:
-                return
+                continue
         split = lam is not None and lam == conj
         kept = low = ratio = None
         if split:
@@ -255,7 +259,7 @@ def _pair_shard(
             kept = pairs.add(d, 1)
         if facts is not None:
             if rows and mu[-1] == 1 and f > width:
-                interior += 2 - split
+                facts.interior += 2 - split
                 top, bottom = _ratio_terms(f, mu, hooks, column, fact)
                 if not bottom < top < 4 * bottom:
                     ratio = Fraction(top, bottom)
@@ -274,7 +278,7 @@ def _pair_shard(
         lo = max(width, 2)
         hi = min(f // 2, f - rows - 2)
         if lo > hi:
-            return
+            continue
         raised = [x + 1 for x in q]  # (r, μ)′_c − c, then 1 − c for width <= c < r
         new_cols = list(range(1 - width, 1 - hi, -1))
         for r in range(lo, hi + 1):
@@ -283,17 +287,9 @@ def _pair_shard(
             if rows and facts is not None:
                 h = hooks[0]  # the new row's first hook, r + ℓ(μ)
                 above = (column[0] * (h * h - 1), column[1] * h)
-            walk((r,) + mu, raised + new_cols[:r - width],
-                 h_mu * prod(hooks) * fact[r - width], m + r, above)
-
-    try:
-        for t in ones:  # 1^t: μ′ = (t,), and the first hooks above its bottom row are t, ..., 2
-            column = (fact[t - 1] * fact[t + 1] // 2, fact[t]) if t else (1, 1)
-            walk((1,) * t, [t] if t else [], fact[t], t, column)
-    finally:
-        del walk  # walk refers to itself through its cell: clear it, so no cycle outlives the pass
+            pending.append(((r,) + mu, raised + new_cols[:r - width],
+                            h_mu * prod(hooks) * fact[r - width], m + r, above))
     if facts is not None:
-        facts.interior += interior
         violations.sort(key=lambda v: v[0], reverse=True)
         facts.violations += [(v, ratio) for _lam, pair, ratio in violations for v in pair]
     return pairs, selfconj
@@ -343,8 +339,8 @@ def ProcessPoolExecutor(*args, **kwargs):
 def gc_paused():
     """Pause the cyclic garbage collector for a pass that allocates many
     objects and leaves no reference cycle behind, and restore its previous
-    state after, also when the pass raises.  The walk, the merge of a pool's
-    shards and the cache's parse run inside it."""
+    state after, also when the pass raises.  The store's walk, ``_build``'s
+    walk or merge of a pool's shards, and the cache's parse run inside it."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -361,27 +357,24 @@ def pool_size(threads: int, shards: int, cpus: int | None) -> int:
     return max(1, min(threads, shards, cpus or 1))
 
 
-def _build(
-    n: int, all_members: bool, threads: int = 1, facts: MoveFacts | None = None,
-) -> tuple[_Classes, list[tuple[int, Partition]]]:
-    """The pairs and self-conjugate leaves of n, for ``_spectrum``, from a
-    process pool sharded by the number of parts equal to 1 above MEMBER_CAP
-    with two or more workers, else from one sequential walk that also fills
-    ``facts`` when given.  The pairs keep every member with
-    ``all_members``, else only those of the two largest degrees.  The walk
-    and the merge leave no reference cycle behind, so they run in
-    ``gc_paused``."""
+def _build(n: int, threads: int = 1) -> tuple[_Classes, list[tuple[int, Partition]]]:
+    """The pairs and self-conjugate leaves of n that ``spectrum_sn`` and
+    ``spectrum_an`` read, keeping every member up to MEMBER_CAP and only
+    those of the two largest degrees above it.  Above MEMBER_CAP with two or
+    more workers they come from a process pool sharded by the number of
+    parts equal to 1, else from one sequential walk.  The walk and the merge
+    leave no reference cycle behind, so they run in ``gc_paused``."""
     ones = range((n + 1) // 2)  # 1^t needs a first part of at least t + 1
     workers = pool_size(threads, len(ones), os.cpu_count())
     with gc_paused():
         if workers <= 1 or n <= MEMBER_CAP:
-            return _pair_shard(n, ones, all_members, facts)
+            return _pair_shard(n, ones, n <= MEMBER_CAP)
         # each shard keeps its own top two degrees, so merging keeps the
         # global top two; shards are merged, and dropped, as they arrive
-        pairs, selfconj = _Classes(all_members), []
+        pairs, selfconj = _Classes(False), []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for shard, shard_selfconj in pool.map(_pair_shard, [n] * len(ones),
-                                                  [(t,) for t in ones], [all_members] * len(ones)):
+                                                  [(t,) for t in ones]):
                 for deg, k in shard.counts.items():
                     kept = pairs.add(deg, k)
                     if kept is not None:
@@ -405,13 +398,13 @@ def spectrum_sn(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> Degr
     independent of the worker count.
     """
     _check_n(n, 1, max_n)
-    return _spectrum(n, "S", *_build(n, n <= MEMBER_CAP, threads))
+    return _spectrum(n, "S", *_build(n, threads))
 
 
 def spectrum_an(n: int, *, threads: int = 1, max_n: int = DEFAULT_MAX_N) -> DegreeSpectrum:
     """Complete exact degree spectrum of the alternating group on n points."""
     _check_n(n, 2, max_n)
-    return _spectrum(n, "A", *_build(n, n <= MEMBER_CAP, threads))
+    return _spectrum(n, "A", *_build(n, threads))
 
 
 def has_built_members(spec: DegreeSpectrum) -> bool:
@@ -441,34 +434,35 @@ def has_built_members(spec: DegreeSpectrum) -> bool:
     return True
 
 
-# the current n's spectra and, when they were asked for, its move facts;
-# replaced when another n is built
-_store: tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]] | None = None
-# beside it, the degrees of the single-node moves that the checks have scanned
-_move_degrees: dict[Partition, int] = {}
+# the current n's spectra, its move facts when they were asked for, and the
+# degrees of the single-node moves that the checks have scanned; replaced
+# when another n is built
+_Store = tuple[int, MoveFacts | None, dict[str, DegreeSpectrum], dict[Partition, int]]
+_store: _Store | None = None
 
 
-def _current(n: int, facts: bool = False) -> tuple[int, MoveFacts | None, dict[str, DegreeSpectrum]]:
+def _current(n: int, facts: bool = False) -> _Store:
     """The store for n, built by one sequential walk over the conjugate-pair
-    representatives unless it already holds n, with its move facts when
-    ``facts``.  A verdict read from the facts covers every partition of n
-    only if they do, so facts whose two-neighbour partitions and low-degree
-    members do not add up to p(n) raise ArithmeticError, and the store is
-    left empty."""
+    representatives, in ``gc_paused``, unless it already holds n, with its
+    move facts when ``facts``.  A verdict read from the facts covers every
+    partition of n only if they do, so facts whose two-neighbour partitions
+    and low-degree members do not add up to p(n) raise ArithmeticError, and
+    the store is left empty."""
     global _store
     held = _store if _store is not None and _store[0] == n else None
     if held is None or (facts and held[1] is None):
         _check_n(n, 1, DEFAULT_MAX_N)
         clear_spectrum_cache()  # drop the previous n before building this one
         moves = MoveFacts() if facts else None
-        classes = _build(n, False, facts=moves)
+        with gc_paused():
+            classes = _pair_shard(n, range((n + 1) // 2), False, moves)
         if moves is not None:
             covered = moves.interior + sum(map(len, moves.low.values()))
             if covered != count_partitions(n):
                 raise ArithmeticError(
                     f"move facts of {n} cover {covered} of {count_partitions(n)} partitions"
                 )
-        _store = (n, moves, {g: _spectrum(n, g, *classes) for g in ("SA" if n >= 2 else "S")})
+        _store = (n, moves, {g: _spectrum(n, g, *classes) for g in ("SA" if n >= 2 else "S")}, {})
     return _store
 
 
@@ -490,10 +484,9 @@ def cached_spectrum(group: str, n: int) -> DegreeSpectrum:
 
 
 def clear_spectrum_cache() -> None:
-    """Drop the store and the move degrees kept beside it."""
+    """Drop the store, with its spectra, move facts and move degrees."""
     global _store
     _store = None
-    _move_degrees.clear()
 
 
 def epsilon(spec: DegreeSpectrum) -> Fraction:
@@ -568,12 +561,13 @@ def sandwich_check(n: int) -> VerificationReport:
 def _scan_degrees(parts: Partition) -> dict[Partition, int]:
     """Exact degrees of every single-node move of ``parts``.  induced-bound
     and both move scans read the moves of the same maximizers, so each
-    degree is computed once and kept beside the store until it is cleared."""
+    degree is computed once and kept in the store of n until it goes."""
+    known = _current(sum(parts))[3]
     degrees = {}
     for _i, _j, moved in iter_moves(parts):
-        d = _move_degrees.get(moved)
+        d = known.get(moved)
         if d is None:
-            d = _move_degrees[moved] = degree_sn(moved)
+            d = known[moved] = degree_sn(moved)
         degrees[moved] = d
     return degrees
 

@@ -1008,8 +1008,9 @@ class TestVerifyCmd:
         spectrum.clear_spectrum_cache()
         code, _, _ = run(capsys, "verify", "--range", "5..8", "--checks", "all")
         assert code == 0
-        n, facts, spectra = spectrum._store
+        n, facts, spectra, move_degrees = spectrum._store
         assert n == 8
+        assert move_degrees and {sum(lam) for lam in move_degrees} == {8}
         low = [lam for members in facts.low.values() for lam in members]
         assert {sum(lam) for lam in low} == {8}
         assert facts.interior + len(low) == count_partitions(8)
@@ -1021,12 +1022,12 @@ class TestVerifyCmd:
             m.setattr(spectrum, "MEMBER_CAP", 4)
             capped = spectrum_sn(5)
         assert spectrum.cached_spectrum("S", 5) == capped
-        assert spectrum._store[0] == 5
+        assert spectrum._store[0] == 5 and spectrum._store[3] == {}
 
     def test_each_move_degree_is_computed_once(self, capsys, monkeypatch):
         # induced-bound and both move scans read the single-node moves of the
         # same maximizers, and neighbouring members share moves; each move's
-        # degree is kept beside the store
+        # degree is kept in the store of n, and goes with it
         calls = Counter()
 
         def counted(parts):
@@ -1041,9 +1042,10 @@ class TestVerifyCmd:
         scanned = set(s_spec.maximizers) | set(s_spec.members[1])
         moves = {mu for lam in scanned for _i, _j, mu in partitions.iter_moves(lam)}
         assert set(calls) == moves and set(calls.values()) == {1}
-        assert spectrum._move_degrees.keys() == moves
+        assert spectrum._store[3].keys() == moves
+        spectrum.cached_spectrum("S", 12)
+        assert spectrum._store[0] == 12 and spectrum._store[3] == {}
         spectrum.clear_spectrum_cache()
-        assert not spectrum._move_degrees
 
     def test_ratio_lemma_never_builds_the_graph(self, capsys, monkeypatch):
         from chardeg import graph

@@ -414,26 +414,38 @@ class TestWalk:
             assert sorted(leaves, reverse=True) == [lam for lam, _ in representatives(n)]
 
     def test_merged_shards_equal_the_sequential_walk(self, monkeypatch):
+        # a pool build keeps the top two members, as the walk does above the
+        # cap; test_against_the_partitions_of_n covers every member below it
         monkeypatch.setattr(spectrum, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(spectrum, "MEMBER_CAP", 0)
         monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 2)
         InlinePool.started = 0
         for n in range(1, 31):
-            for all_members in (True, False):
-                pooled = spectrum._build(n, all_members, threads=2)
-                walked = spectrum._build(n, all_members)
-                for group in "SA" if n >= 2 else "S":
-                    assert spectrum._spectrum(n, group, *pooled) == \
-                        spectrum._spectrum(n, group, *walked), (n, group, all_members)
-        assert InlinePool.started == 2 * 28  # one pool per build from n = 3
+            pooled = spectrum._build(n, threads=2)
+            walked = spectrum._build(n)
+            for group in "SA" if n >= 2 else "S":
+                assert spectrum._spectrum(n, group, *pooled) == \
+                    spectrum._spectrum(n, group, *walked), (n, group)
+        assert InlinePool.started == 28  # one pool per build from n = 3
+
+    def test_the_store_walks_without_the_pool(self, monkeypatch):
+        # the store runs its own walk in this process, above the cap too, so
+        # it never asks for a worker count
+        def refused(*args):
+            raise AssertionError("the store asked for a pool")
+
+        monkeypatch.setattr(spectrum, "pool_size", refused)
+        spectrum.clear_spectrum_cache()
+        try:
+            assert move_facts(12).interior > 0
+            assert cached_spectrum("A", 45).n == 45
+        finally:
+            spectrum.clear_spectrum_cache()
 
     def test_no_walk_outlives_its_pass(self, monkeypatch):
-        # the walk calls itself through its closure cell; with the collector
-        # off, no walk may be left alive once a pass returns or raises
-        def alive():
-            return [obj for obj in gc.get_objects()
-                    if getattr(obj, "__qualname__", None) == "_pair_shard.<locals>.walk"]
-
+        # the walk and the store's build run with the collector paused, so
+        # with it off no pass may leave garbage that only it could free,
+        # whether the pass returns or raises
         def broken(*args):
             raise ArithmeticError("a ratio failed")
 
@@ -442,14 +454,17 @@ class TestWalk:
         gc.disable()
         try:
             spectrum._pair_shard(20, range(10), False, MoveFacts())
-            assert alive() == []
+            assert gc.collect() == 0
+            spectrum.clear_spectrum_cache()
+            move_facts(12)
+            assert gc.collect() == 0
             monkeypatch.setattr(spectrum, "_ratio_terms", broken)
-            raised = False  # pytest.raises would keep the traceback, and the walk, alive
+            raised = False  # pytest.raises would keep the traceback, and its frames, alive
             try:
                 spectrum._pair_shard(20, range(10), False, MoveFacts())
             except ArithmeticError:
                 raised = True
-            assert raised and alive() == []
+            assert raised and gc.collect() == 0
         finally:
             if was:
                 gc.enable()

@@ -1,7 +1,8 @@
 """The benchmark still runs against the library: its tracer finds every
 name it wraps, and its checker accepts what the CLI prints.  Every source
-file parses at the oldest Python that pyproject.toml supports, and the
-library reads no environment variable."""
+file parses at the oldest Python that pyproject.toml supports, the
+library reads no environment variable, and each of its functions and
+classes that no other library code reads is listed with a reason."""
 
 import ast
 import hashlib
@@ -173,3 +174,44 @@ def test_library_reads_no_environment_variable():
             if hit:
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+# The module-level functions and classes of src/chardeg that no other code in
+# src/chardeg names, outside __init__.py's exports, and why each stays.
+UNREFERENCED = {
+    "graph.low_degree_count_check": "wrapped by perfbench/tracer.py",
+    "graph.near_max_count_check": "wrapped by perfbench/tracer.py",
+    "partitions.addable_nodes": "wrapped by perfbench/tracer.py",
+    "partitions.lambda_to_1": "wrapped by perfbench/tracer.py",
+    "serialize.graph_from_doc": "wrapped by perfbench/tracer.py",
+    "serialize.spectrum_from_doc": "wrapped by perfbench/tracer.py; the tests' reference parse",
+    "serialize.spectrum_to_doc": "wrapped by perfbench/tracer.py; the tests' reference render",
+    "graph.neighbors": "reference implementation the tests compare against",
+    "hooks.count_standard_tableaux": "reference implementation the tests compare against",
+    "hooks.hook_length": "reference implementation the tests compare against",
+    "partitions.is_partition": "reference implementation the tests compare against",
+}
+
+
+def test_every_unreferenced_name_has_a_reason():
+    # a name is referenced when another definition, or module-level code,
+    # reads it as a name or an attribute; a name that goes unreferenced
+    # must be listed with a reason, so dead code cannot land unnoticed
+    read = {}  # (module, name) of a definition -> the names read inside it
+    loose = set()  # the names read outside every definition
+    for path in sorted((ROOT / "src" / "chardeg").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                read[path.stem, node.name] = names
+            else:
+                loose |= names
+    unreferenced = {
+        f"{module}.{name}" for module, name in read
+        if name not in loose
+        and not any(name in names for other, names in read.items() if other != (module, name))
+    }
+    assert unreferenced == UNREFERENCED.keys()
