@@ -499,12 +499,9 @@ def spectrum_xy(n: int) -> tuple[int, int]:
     y = multiplicity of b(A_n) as a symmetric-group degree."""
     b_a = cached_spectrum("A", n).b
     s_spec = cached_spectrum("S", n)
-    x = 0
-    for degree, size in zip(s_spec.degrees, s_spec.sizes):
-        if degree <= b_a:
-            return x, size if degree == b_a else 0
-        x += size
-    return x, 0
+    degrees, sizes = s_spec.degrees, s_spec.sizes
+    i = bisect_left(degrees, -b_a, key=neg)  # the first S_n degree <= b(A_n)
+    return sum(sizes[:i]), sizes[i] if i < len(degrees) and degrees[i] == b_a else 0
 
 
 def _dominance(
@@ -602,49 +599,34 @@ def induced_bound_check(n: int) -> VerificationReport:
     if n < 5:
         raise ValueError("induced bound check needs n >= 5")
     s_spec = cached_spectrum("S", n)
-    b_s = s_spec.b
-    notes = []
-    witnesses = list(s_spec.maximizers)
-    s_records = _move_mass(s_spec.maximizers, b_s, 2 * b_s * b_s, "induced-mass[{}]")
-    analytic_s = induction_bound(n, 30) * b_s * b_s
-    notes.append(f"symmetric-analytic-context={decimal_str(analytic_s)}")
-    hyp_s = n >= 50 and s_spec.m1_size <= 31
-    notes.append(f"symmetric-hypotheses={'active' if hyp_s else 'inactive'}")
-
-    a_records = []
-    hyp_a = False
     b_a = cached_spectrum("A", n).b
-    reduced = (
-        b_a < b_s
-        and s_spec.m1_size == 1
-        and len(s_spec.degrees) > 1
-        and s_spec.degrees[1] == b_a
-    )
-    if reduced:
-        m2 = s_spec.members[1]
-        a_records = _move_mass(m2, b_a, 2 * b_a * b_a, "induced-mass[{}]")
-        witnesses.extend(m2)
-        analytic_a = induction_bound(n, 20) * b_a * b_a
-        notes.append(f"alternating-analytic-context={decimal_str(analytic_a)}")
-        hyp_a = n >= 43 and s_spec.sizes[1] <= 19
-        notes.append(f"alternating-hypotheses={'active' if hyp_a else 'inactive'}")
-    else:
+    # (name, members, top degree b, induction offset k, hypotheses hold)
+    branches = [("symmetric", s_spec.maximizers, s_spec.b, 30,
+                 n >= 50 and s_spec.m1_size <= 31)]
+    if (b_a < s_spec.b and s_spec.m1_size == 1 and len(s_spec.degrees) > 1
+            and s_spec.degrees[1] == b_a):
+        branches.append(("alternating", s_spec.members[1], b_a, 20,
+                         n >= 43 and s_spec.sizes[1] <= 19))
+    notes, witnesses, observed, records = [], [], [], []
+    for name, members, b, k, hyp in branches:
+        mass = _move_mass(members, b, 2 * b * b, "induced-mass[{}]")
+        witnesses.extend(members)
+        notes.append(f"{name}-analytic-context={decimal_str(induction_bound(n, k) * b * b)}")
+        notes.append(f"{name}-hypotheses={'active' if hyp else 'inactive'}")
+        observed.extend(mass)
+        if hyp:
+            # an active branch is never empty, as it covers the maximizers or
+            # the members of the second class, so PASS needs a held record in each
+            records.extend(_decisive(mass))
+    if len(branches) == 1:
         notes.append("alternating-branch=not-applicable")
-
-    active = hyp_s or hyp_a
-    if active:
-        # an active branch is never empty, as it covers the maximizers or
-        # the members of the second class, so PASS needs a held record in each
-        records = [q for hyp, branch in ((hyp_s, s_records), (hyp_a, a_records)) if hyp
-                   for q in _decisive(branch)]
-    else:
-        records = s_records + a_records
-    notes.extend(f"observed: {q} -> {q.holds()}" for q in s_records + a_records)
+    notes.extend(f"observed: {q} -> {q.holds()}" for q in observed)
+    active = any(hyp for *_, hyp in branches)
     return VerificationReport(
         check="induced-bound",
         n=n,
         status=None if active else INFORMATIONAL,
-        inequalities=tuple(records),
+        inequalities=tuple(records if active else observed),
         witnesses=tuple(witnesses),
         notes=tuple(notes),
     )

@@ -1158,16 +1158,18 @@ class TestVerifyCmd:
         [
             (("--n", "44"), "7c540cf83417f69cbe06ba040e6ca497"),
             (("--n", "50"), "4781547ae1e23f6f6ff4cc97de509a3a"),
+            (("--n", "51"), "88008f6504977afa8b71f7529ba70f49"),
             pytest.param(("--range", "41..49"), "9cb7c09095461e7bfc30fc048c25ede3",
                          marks=pytest.mark.stretch),
             pytest.param(("--range", "50..60"), "8d04e17a819273f565b17a84efaab0d7",
                          marks=pytest.mark.stretch),
         ],
-        ids=["n44", "n50", "range41-49", "range50-60"],
+        ids=["n44", "n50", "n51", "range41-49", "range50-60"],
     )
     def test_golden_bytes_with_induced_hypotheses_active(self, capsys, span, expected):
-        # the alternating induced-bound hypotheses hold at n = 44 and the
-        # symmetric ones at n = 50, which 5..20 never reaches
+        # the alternating induced-bound hypotheses hold at n = 44, the
+        # symmetric ones at n = 50, and both at n = 51, which 5..20 never
+        # reaches
         code, out, _ = run(capsys, "verify", *span, "--checks", "theorem1,theorem2,sandwich,"
                            "move-scan,induced-bound,epsilon-bounds", "--format", "json")
         assert code == 0

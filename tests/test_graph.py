@@ -291,6 +291,15 @@ class TestCountChecks:
         assert rep.inequalities == (Inequality("near-top-characters[r=3]", 0, ">=", 12),)
         assert rep.notes == ("classes=4", "violating r=3")
 
+    def test_near_top_window_boundaries(self, monkeypatch):
+        # b_1 = 43 (not a multiple of 4) counts 11 = 43 // 4 + 1 and leaves
+        # out 10; b_2 = 40 counts 11 = 40 // 4 + 1 and leaves out 10, as
+        # 4 * 10 = 40 is not above b_2
+        monkeypatch.setattr(spectrum, "cached_spectrum", lambda group, n: DegreeSpectrum(
+            n, group, (43, 40, 11, 10, 1), (1, 2, 3, 5, 7), ((), ())))
+        assert near_max_count_check(9, 1).inequalities[0].left == 2 + 3
+        assert near_max_count_check(9, 2).inequalities[0].left == 3
+
     def test_all_classes_small_range(self):
         for n in range(5, 21):
             assert low_degree_count_check_all(n).passed

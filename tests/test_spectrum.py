@@ -78,7 +78,8 @@ def record_reports(monkeypatch, name):
 class TestVerifyFailsFromData:
     """Made-up data drives a check to FAIL through the command line: exit
     code 1, a FAIL line, and every report consistent with at least one
-    recorded inequality."""
+    recorded inequality.  Induced-bound's two branches are also driven to
+    PASS together, since each must hold a record."""
 
     @pytest.fixture(autouse=True)
     def empty_store(self):
@@ -95,6 +96,7 @@ class TestVerifyFailsFromData:
         assert any(line.startswith("FAIL") for line in out.splitlines())
         assert any(r.status == FAIL for r in reports)
         assert all(r.consistent() and r.inequalities for r in reports)
+        return reports
 
     @pytest.mark.parametrize("name", ["theorem1", "theorem2", "epsilon-bounds"])
     def test_one_top_degree_over_a_light_tail(self, capsys, monkeypatch, name):
@@ -142,6 +144,37 @@ class TestVerifyFailsFromData:
         serve_spectra(monkeypatch, 50, [(10**30, 1, (top,)), (10**29, 5, ())], b_a=10**30)
         monkeypatch.setattr(spectrum, "degree_sn", lambda parts: 1)
         self.assert_fails(capsys, monkeypatch, "induced-bound", 50)
+
+    # n = 50 with one maximizer and a second S_n class of degree b(A_n) < b(S_n)
+    # and size 2 <= 19, so both induced-bound branches are active
+    BOTH_BRANCHES = [(10**30, 1, ((10, 9, 8, 7, 6, 5, 3, 2),)),
+                     (10**30 - 10, 2, ((11, 9, 8, 7, 6, 5, 3, 1), (10, 9, 8, 7, 6, 5, 4, 1)))]
+
+    def test_induced_bound_alternating_branch_misses(self, capsys, monkeypatch):
+        # every move has degree b(A_n): below b(S_n), so the symmetric mass
+        # holds, but not below b(A_n), so each alternating record misses
+        serve_spectra(monkeypatch, 50, self.BOTH_BRANCHES, b_a=10**30 - 10)
+        monkeypatch.setattr(spectrum, "degree_sn", lambda parts: 10**30 - 10)
+        rep, = self.assert_fails(capsys, monkeypatch, "induced-bound", 50)
+        assert "symmetric-hypotheses=active" in rep.notes
+        assert "alternating-hypotheses=active" in rep.notes
+        assert [q.holds() for q in rep.inequalities] == [True, False, False]
+
+    def test_induced_bound_both_branches_hold(self, capsys, monkeypatch):
+        # every move has degree b(A_n) - 1, below both top degrees, and each
+        # member has over 50 moves, so every record of both branches holds
+        serve_spectra(monkeypatch, 50, self.BOTH_BRANCHES, b_a=10**30 - 10)
+        monkeypatch.setattr(spectrum, "degree_sn", lambda parts: 10**30 - 11)
+        reports = record_reports(monkeypatch, "induced-bound")
+        code = cli.main(["verify", "--n", "50", "--checks", "induced-bound"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("PASS")
+        rep, = reports
+        assert rep.status == PASS and rep.consistent()
+        assert "alternating-hypotheses=active" in rep.notes
+        assert [q.label for q in rep.inequalities] == [
+            "induced-mass[10,9,8,7,6,5,3,2]", "induced-mass[11,9,8,7,6,5,3,1]",
+            "induced-mass[10,9,8,7,6,5,4,1]"]
 
 
 class TestSpectrumSn:
@@ -993,3 +1026,6 @@ class TestSpectrumXY:
         # two S_n degrees, so no S_n class has it
         serve_spectra(monkeypatch, 8, [(100, 1, ()), (60, 3, ()), (40, 4, ())], b_a=50)
         assert spectrum_xy(8) == (4, 0)
+        # below every S_n degree: x counts every S_n character
+        serve_spectra(monkeypatch, 8, [(100, 1, ()), (60, 3, ()), (40, 4, ())], b_a=30)
+        assert spectrum_xy(8) == (8, 0)

@@ -1,9 +1,11 @@
 """The benchmark still runs against the library: its tracer finds every
 name it wraps, and its checker accepts what the CLI prints.  Every source
 file parses at the oldest Python that pyproject.toml supports, the
-library reads no environment variable, and each of its functions and
-classes that no other library code reads is listed with a reason."""
+library reads no environment variable, each of its functions and
+classes that no other library code reads is listed with a reason, and
+README's flag table lists the flags each command's parser takes."""
 
+import argparse
 import ast
 import hashlib
 import json
@@ -15,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from chardeg import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -215,3 +219,27 @@ def test_every_unreferenced_name_has_a_reason():
         and not any(name in names for other, names in read.items() if other != (module, name))
     }
     assert unreferenced == UNREFERENCED.keys()
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's table lists each command's option strings, -h aside, and the
+    # choices of every flag that has them, written a|b, as build_parser does
+    table = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "Each command accepts only the flags it honours", 1)[1].split("\n\n")[1]
+    documented = {}
+    for commands, flags in re.findall(r"^\| (`.+`) \| (.+) \|$", table, re.M):
+        options = {}
+        for flag in re.findall(r"`(--[^`]+)`", flags):
+            option, _, value = flag.partition(" ")
+            options[option] = set(value.split("\\|")) if "\\|" in value else None
+        for command in re.findall(r"`(\w+)`", commands):
+            documented[command] = options
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        command: {option: set(a.choices) if a.choices else None
+                  for a in parser._actions for option in a.option_strings
+                  if option not in ("-h", "--help")}
+        for command, parser in subparsers.choices.items()
+    }
+    assert documented == parsed
