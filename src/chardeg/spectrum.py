@@ -169,7 +169,7 @@ class _Classes:
 
 
 def _ratio_terms(
-    f: int, mu: Partition, hooks: list[int], column: tuple[int, int], fact: list[int]
+    f: int, hooks: list[int], column: tuple[int, int], fact: list[int]
 ) -> tuple[int, int]:
     """(4·∏(h²−1), ∏h²) over the first-row hooks h_1j, 2 <= j <= f − 1, and
     the first-column hooks h_i1, 2 <= i <= ℓ − 1, of λ = (f, μ).  When λ has
@@ -260,7 +260,7 @@ def _pair_shard(
         if facts is not None:
             if rows and mu[-1] == 1 and f > width:
                 facts.interior += 2 - split
-                top, bottom = _ratio_terms(f, mu, hooks, column, fact)
+                top, bottom = _ratio_terms(f, hooks, column, fact)
                 if not bottom < top < 4 * bottom:
                     ratio = Fraction(top, bottom)
             else:

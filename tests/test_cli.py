@@ -32,6 +32,8 @@ from chardeg.serialize import (
 )
 from chardeg.spectrum import has_built_members, spectrum_an, spectrum_sn
 
+from pins import PINS
+
 
 def md5(text):
     # compared instead of the text, whose diff on failure takes minutes at n = 41
@@ -129,6 +131,30 @@ def test_degree_and_branch_bytes(capsys):
     assert digest.hexdigest() == "3498ca77062b5babf8e57e0729afbdef"
 
 
+def pin_params():
+    """One param per row of the pin table; a spectrum row once per worker
+    count."""
+    for pin_id, pin in PINS.items():
+        marks = pytest.mark.stretch if pin.tier == "stretch" else ()
+        if pin.argv.startswith("spectrum"):
+            for threads in ("1", "2"):
+                yield pytest.param(f"{pin.argv} --threads {threads}", pin,
+                                   id=f"{pin_id}-{threads}", marks=marks)
+        else:
+            yield pytest.param(pin.argv, pin, id=pin_id, marks=marks)
+
+
+@pytest.mark.parametrize(("argv", "pin"), pin_params())
+def test_pinned_bytes(capsys, monkeypatch, tmp_path, argv, pin):
+    # the byte contract: stdout, exit code and any file written, run in an
+    # empty directory so that a relative --out lands there
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0 and md5(out) == pin.md5
+    written = [hashlib.md5(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()]
+    assert written == ([pin.written] if pin.written else [])
+
+
 class TestSpectrumCmd:
     def test_csv_n5(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "5", "--group", "s", "--format", "csv")
@@ -169,26 +195,6 @@ class TestSpectrumCmd:
         code, _, err = run(capsys, "spectrum", "--n", "25", "--max-n", "20")
         assert code == 2
         assert "exceeds" in err
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize(
-        ("argv", "expected"),
-        [
-            (("--n", "24", "--group", "a"), "40beb1479a8c452cd8351399b4f12510"),
-            (("--n", "24", "--group", "a", "--format", "csv"), "f525c3bd737c94728cfbc64385b1bdb6"),
-            (("--n", "24", "--group", "a", "--format", "json"), "17bce929179402b57734cdd30c4dd251"),
-            (("--n", "41", "--group", "s", "--format", "json"), "36e4461473a5b268ce5dd918dfad88b2"),
-            (("--n", "41", "--group", "a", "--format", "json"), "68af6f8d2340e843d6307f73a6099b5f"),
-            # above the cap, with A_44's top two below a self-conjugate maximizer
-            (("--n", "44", "--group", "s", "--format", "json"), "815adc12f270cc1f4cdc2995cd262bdd"),
-            (("--n", "44", "--group", "a", "--format", "json"), "95dfe3193f492cd76e9bd2b57376496c"),
-        ],
-        ids=["a24-text", "a24-csv", "a24-json", "s41-json", "a41-json", "s44-json", "a44-json"],
-    )
-    def test_golden_bytes(self, capsys, argv, expected, threads):
-        code, out, _ = run(capsys, "spectrum", *argv, "--threads", threads)
-        assert code == 0
-        assert md5(out) == expected
 
     def test_determinism_across_threads(self, capsys, monkeypatch):
         # the pool starts only above the member cap; no cache is read here
@@ -633,7 +639,7 @@ class TestCache:
         # --cache-dir is the one way to name the cache directory
         monkeypatch.setenv("CHARDEG_CACHE_DIR", str(tmp_path))
         code, out, _ = run(capsys, "spectrum", "--n", "41", "--format", "json")
-        assert code == 0 and md5(out) == "36e4461473a5b268ce5dd918dfad88b2"
+        assert code == 0 and md5(out) == PINS["s41-json"].md5
         assert not any(tmp_path.iterdir())
 
     def test_failed_write_is_a_warning(self, capsys, tmp_path):
@@ -817,7 +823,7 @@ class TestCacheAtTheMemberCap:
         assert load_spectrum(tmp_path, "S", 41) is None
         argv = ("spectrum", "--n", "41", "--format", "json", "--cache-dir", str(tmp_path))
         code, out, _ = run(capsys, *argv)
-        assert code == 0 and md5(out) == "36e4461473a5b268ce5dd918dfad88b2"
+        assert code == 0 and md5(out) == PINS["s41-json"].md5
         assert md5(path.read_text()) == md5(canonical)
 
     def test_hit_prints_the_entry_it_proved(self, capsys, tmp_path, monkeypatch):
@@ -825,7 +831,7 @@ class TestCacheAtTheMemberCap:
         plain = {(group, fmt): run(capsys, "spectrum", "--n", "41", "--group", group,
                                    "--format", fmt)[1]
                  for group in ("s", "a") for fmt in ("json", "csv", "text")}
-        assert md5(plain["s", "json"]) == "36e4461473a5b268ce5dd918dfad88b2"
+        assert md5(plain["s", "json"]) == PINS["s41-json"].md5
         store_spectrum(tmp_path, spectrum_sn(41))
         store_spectrum(tmp_path, spectrum_an(41))
         # a miss would build, a re-render call spectrum_json
@@ -848,7 +854,7 @@ class TestCacheAtTheMemberCap:
 
     def test_swapped_lower_classes_are_a_miss(self, capsys, tmp_path):
         _, plain, _ = run(capsys, "spectrum", "--n", "41")
-        assert md5(plain) == "84502cd247043f0fbf4b334c79c11596"
+        assert md5(plain) == PINS["s41-text"].md5
         run(capsys, "spectrum", "--n", "41", "--cache-dir", str(tmp_path))
         edit_entry(cache_path(tmp_path, "S", 41), swap_lower_classes)
         code, out, _ = run(capsys, "spectrum", "--n", "41", "--cache-dir", str(tmp_path))
@@ -856,14 +862,6 @@ class TestCacheAtTheMemberCap:
 
 
 class TestGraphCmd:
-    @pytest.mark.parametrize(
-        ("fmt", "digest"),
-        [("json", "4eff0028d25127bd29674c3599bb047f"), ("dot", "2bdd66c7e6585104b37ee7de47592ba9")],
-    )
-    def test_golden_bytes_n12(self, capsys, fmt, digest):
-        code, out, _ = run(capsys, "graph", "--n", "12", "--format", fmt)
-        assert code == 0 and md5(out) == digest
-
     def test_json_n4(self, capsys):
         code, out, _ = run(capsys, "graph", "--n", "4")
         doc = json.loads(out)
@@ -1126,54 +1124,21 @@ class TestVerifyCmd:
                            "--checks", "sandwich")
         assert code == 0 and out.startswith("PASS")
 
-    @pytest.mark.parametrize(
-        "argv,expected",
-        [
-            pytest.param(("--range", "5..20", "--checks", "all", "--format", "json"),
-                         "44516d161a26efea7c5b32340878189b",
-                         id="json-44516d161a26efea7c5b32340878189b"),
-            pytest.param(("--range", "5..20", "--checks", "all", "--format", "text"),
-                         "8a3cdb26df5348e3bc2d7830cf0ce694",
-                         id="text-8a3cdb26df5348e3bc2d7830cf0ce694"),
-            pytest.param(("--range", "5..40", "--checks", "all", "--format", "json"),
-                         "bcc05f3ea568c3ee39ffc9d89a420b18", id="paper-range-json"),
-            pytest.param(("--range", "2..12", "--checks", "theorem1,theorem2",
-                          "--override-domain"),
-                         "8e38a2c932f6f81e2ebfbdf70344d6c4", id="override-domain-text"),
-            pytest.param(("--range", "41..49", "--checks", "theorem2,induced-bound"),
-                         "e44d190607beda893e853a9e73fe56cd", id="range41-49-text",
-                         marks=pytest.mark.stretch),
-        ],
-    )
-    def test_golden_bytes(self, capsys, argv, expected):
-        # pins every report's bytes over the paper's range n = 5..40, below
-        # the stated domains and past the member cap, so a refactor that
-        # changes one fails here
-        code, out, _ = run(capsys, "verify", *argv)
-        assert code == 0
-        assert md5(out) == expected
+    @pytest.mark.parametrize("name", list(cli.CHECKS))
+    def test_floors_agree_with_each_checks_guard(self, monkeypatch, name):
+        # the table's floor is where the check's own guard lets it run, and
+        # the override floor is inside what the check accepts
+        from chardeg.report import VerificationReport
 
-    @pytest.mark.parametrize(
-        "span,expected",
-        [
-            (("--n", "44"), "7c540cf83417f69cbe06ba040e6ca497"),
-            (("--n", "50"), "4781547ae1e23f6f6ff4cc97de509a3a"),
-            (("--n", "51"), "88008f6504977afa8b71f7529ba70f49"),
-            pytest.param(("--range", "41..49"), "9cb7c09095461e7bfc30fc048c25ede3",
-                         marks=pytest.mark.stretch),
-            pytest.param(("--range", "50..60"), "8d04e17a819273f565b17a84efaab0d7",
-                         marks=pytest.mark.stretch),
-        ],
-        ids=["n44", "n50", "n51", "range41-49", "range50-60"],
-    )
-    def test_golden_bytes_with_induced_hypotheses_active(self, capsys, span, expected):
-        # the alternating induced-bound hypotheses hold at n = 44, the
-        # symmetric ones at n = 50, and both at n = 51, which 5..20 never
-        # reaches
-        code, out, _ = run(capsys, "verify", *span, "--checks", "theorem1,theorem2,sandwich,"
-                           "move-scan,induced-bound,epsilon-bounds", "--format", "json")
-        assert code == 0
-        assert md5(out) == expected
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a check started a process pool")
+
+        monkeypatch.setattr(spectrum, "ProcessPoolExecutor", no_pool)
+        floor, override_floor, runner, _ = cli.CHECKS[name]
+        with pytest.raises(ValueError):
+            runner(floor - 1, False)
+        for reports in (runner(floor, False), runner(override_floor, True)):
+            assert reports and all(isinstance(r, VerificationReport) for r in reports)
 
     def test_threads_other_than_one_rejected(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -113,7 +113,7 @@ class TestBuildGraph:
                 assert lambda_dn(comp[-1]) is None
 
 
-class TestStructureChecks:
+class TestDegreesAlongPaths:
     def test_class_intersection_passes(self):
         # the ratio lemma's lower bound d(λ)^2 > d(up) d(dn) makes degrees
         # strictly log-concave along a path: no interior minimum, and no
@@ -167,8 +167,10 @@ class TestRatioLemma:
         seen = {}
         real = spectrum._ratio_terms
 
-        def recorded(f, mu, hooks, column, fact):
-            terms = real(f, mu, hooks, column, fact)
+        def recorded(f, hooks, column, fact):
+            terms = real(f, hooks, column, fact)
+            # the hooks over μ are f − c + μ'_c, so they give back λ = (f, μ)
+            mu = conjugate(tuple(h - f + c for c, h in enumerate(hooks)))
             seen[(f, *mu)] = Fraction(*terms)
             return terms
 

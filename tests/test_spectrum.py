@@ -111,13 +111,14 @@ class TestVerifyFailsFromData:
         self.assert_fails(capsys, monkeypatch, "sandwich", 8)
 
     def test_ratio_lemma(self, capsys, monkeypatch):
-        # made-up hooks for (11,1) with a first-row hook 1, which makes
-        # ∏(h²−1), and so the ratio of (11,1) and (2,1^10), 0
+        # (11,1) is the node with f = 11 and hooks [12] over μ = (1); a
+        # made-up first-row hook 1 there makes ∏(h²−1), and so the ratio of
+        # (11,1) and (2,1^10), 0
         real = spectrum._ratio_terms
 
-        def zero_for_one(f, mu, hooks, column, fact):
-            top, bottom = real(f, mu, hooks, column, fact)
-            return (0, bottom) if (f, *mu) == (11, 1) else (top, bottom)
+        def zero_for_one(f, hooks, column, fact):
+            top, bottom = real(f, hooks, column, fact)
+            return (0, bottom) if (f, hooks) == (11, [12]) else (top, bottom)
 
         monkeypatch.setattr(spectrum, "_ratio_terms", zero_for_one)
         self.assert_fails(capsys, monkeypatch, "ratio-lemma", 12)
@@ -262,8 +263,10 @@ SEQUENTIAL_BUILDS = (
 )
 
 
-class TestDegreeTable:
-    """The degrees of every partition of n, as the walk computes them."""
+class TestSequentialBuilds:
+    """The store's walk and the 1-worker spectra: the degree of every
+    partition of n, the spectra they feed, the collector state they leave
+    and their guards."""
 
     def test_degrees_against_both_oracles(self):
         # at or below the member cap every class keeps all its members
@@ -527,10 +530,11 @@ class TestWalk:
 
     def test_violations_in_lexicographic_order(self, capsys, monkeypatch):
         # made-up ratios 4 + f/ℓ(μ) at every representative (f, μ) with both
-        # moves: the walk meets them in trie order, and the facts and the
-        # FAIL list them as a lexicographic pass does, λ before λ'
+        # moves, where ℓ(μ) = h_11 − f: the walk meets them in trie order, and
+        # the facts and the FAIL list them as a lexicographic pass does, λ
+        # before λ'
         monkeypatch.setattr(spectrum, "_ratio_terms",
-                            lambda f, mu, hooks, column, fact: (4 * len(mu) + f, len(mu)))
+                            lambda f, hooks, column, fact: (4 * hooks[0] - 3 * f, hooks[0] - f))
         expected = [
             (v, 4 + Fraction(lam[0], len(lam) - 1))
             for lam, conj in representatives(12) if up_dn_ratio(lam) is not None
@@ -847,7 +851,7 @@ class TestSandwich:
                 sandwich_check(n)
 
 
-class TestBranchDecompose:
+class TestBranchingRule:
     """Restricting χ^λ to S_{n-1} and inducing back gives χ^λ once per
     removable node of λ and each single-node move of λ once; criterion 09
     checks the degree identity over n <= 20."""

@@ -2,8 +2,9 @@
 name it wraps, and its checker accepts what the CLI prints.  Every source
 file parses at the oldest Python that pyproject.toml supports, the
 library reads no environment variable, each of its functions and
-classes that no other library code reads is listed with a reason, and
-README's flag table lists the flags each command's parser takes."""
+classes that no other library code reads is listed with a reason,
+README's flag table lists the flags each command's parser takes, and the
+pin table reaches every command in every format."""
 
 import argparse
 import ast
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from chardeg import cli
+
+from pins import PINS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,7 +62,7 @@ def test_tracer_counts_cache_traffic(tmp_path):
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert hashlib.md5(proc.stdout.encode()).hexdigest() == "36e4461473a5b268ce5dd918dfad88b2"
+        assert hashlib.md5(proc.stdout.encode()).hexdigest() == PINS["s41-json"].md5
         counts.append(json.loads(out.read_text())["counts"])
     size = (cache_dir / "s041.json").stat().st_size
     cold, warm = counts
@@ -126,7 +129,7 @@ def test_tracer_counts_pool_workers(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.md5(proc.stdout.encode()).hexdigest() == "36e4461473a5b268ce5dd918dfad88b2"
+    assert hashlib.md5(proc.stdout.encode()).hexdigest() == PINS["s41-json"].md5
     assert json.loads(out.read_text())["counts"]["spectrum.pool_workers"] == 2
 
 
@@ -221,6 +224,12 @@ def test_every_unreferenced_name_has_a_reason():
     assert unreferenced == UNREFERENCED.keys()
 
 
+def subcommands(parser):
+    """Each command's name and subparser."""
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
 def test_readme_flag_table_matches_the_parser():
     # README's table lists each command's option strings, -h aside, and the
     # choices of every flag that has them, written a|b, as build_parser does
@@ -234,12 +243,25 @@ def test_readme_flag_table_matches_the_parser():
             options[option] = set(value.split("\\|")) if "\\|" in value else None
         for command in re.findall(r"`(\w+)`", commands):
             documented[command] = options
-    subparsers, = (a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
     parsed = {
         command: {option: set(a.choices) if a.choices else None
                   for a in parser._actions for option in a.option_strings
                   if option not in ("-h", "--help")}
-        for command, parser in subparsers.choices.items()
+        for command, parser in subcommands(cli.build_parser()).items()
     }
     assert documented == parsed
+
+
+def test_pins_reach_every_command_and_format():
+    # every output the CLI can print is under the byte contract; a command
+    # without --format is listed with the format None
+    parser = cli.build_parser()
+    outputs = {
+        (command, choice)
+        for command, sub in subcommands(parser).items()
+        for choice in next((a.choices for a in sub._actions if "--format" in a.option_strings),
+                           (None,))
+    }
+    pinned = {(args.command, getattr(args, "fmt", None))
+              for args in (parser.parse_args(pin.argv.split()) for pin in PINS.values())}
+    assert outputs <= pinned
