@@ -161,6 +161,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
+    if args.cache_dir == "":
+        raise UsageError("--cache-dir names no directory; give one or leave the flag out")
     _guard(args.n, args.max_n)
     group = args.group.upper()
     cache_dir = args.cache_dir
@@ -282,6 +284,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.n < 5:
         raise UsageError("scan starts at n = 5; give --n of at least 5")
+    if args.out == "":
+        raise UsageError("--out names no file; give the path of the CSV to write")
     _store_guard(args.max_n)
     _guard(args.n, args.max_n)
     out = Path(args.out)

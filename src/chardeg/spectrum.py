@@ -509,9 +509,12 @@ def _dominance(
     override_domain: bool,
 ) -> VerificationReport:
     """Squared degrees below the top degree b against ``factor``·b², stated
-    for n >= ``floor`` and informational below it."""
+    for n >= ``floor``; below it, down to n = 2, only under ``override_domain``
+    and as informational."""
     if n < floor and not override_domain:
         raise ValueError(f"{check} is stated for n >= {floor} (use override to force)")
+    if n < 2:
+        raise ValueError(f"{check} is evaluated for n >= 2 only, also under override")
     spec = cached_spectrum(group, n)
     ineq = Inequality(label, spec.sum_squares_below_top(), ">", factor * spec.b * spec.b)
     return VerificationReport(

@@ -9,6 +9,16 @@ working directory, and asserts exit 0 and the md5.  A spectrum row runs at
 1 s in-process is tier-1; a longer one is ``stretch`` and runs under
 ``pytest -m stretch``.  Other tests read a row's md5 by its id, so a digest
 is never written twice.
+
+The refusal contract: each command line the CLI refuses, with the option it
+refuses and a fragment of its stderr.  ``test_cli.py::test_refused`` runs
+every row in-process, in an empty working directory, with the walk and the
+process pool patched to fail, and asserts exit 2, empty stdout, the
+fragment on stderr (one ``error:`` line when ``cli.main`` returns), and
+that nothing was written.  ``test_tooling.py`` requires a row for every
+value-taking option of every command and one below each ``cli.CHECKS``
+floor, with and without ``--override-domain``.  An argv is split as a
+shell would split it, so ``''`` is an empty argument.
 """
 
 from typing import NamedTuple
@@ -19,6 +29,12 @@ class Pin(NamedTuple):
     md5: str
     tier: str  # "tier-1" or "stretch"
     written: str | None = None
+
+
+class Refusal(NamedTuple):
+    argv: str  # shlex.split
+    option: str  # the option refused, or a positional's name
+    fragment: str  # found in stderr
 
 
 SIX = "--checks theorem1,theorem2,sandwich,move-scan,induced-bound,epsilon-bounds --format json"
@@ -85,4 +101,132 @@ PINS = {
     # stdout names --out as given, so the path is relative
     "scan45": Pin("scan --n 45 --out scan45.csv", "7dfa065a80529f8a7bf12c6909fa4fd7", "stretch",
                   written="17d93dfef3868942f9ff60ef5c7915ec"),
+}
+
+
+REFUSALS = {
+    # degree and branch: the partition, and the guard before an exponent is
+    # expanded, which would not fit in memory
+    "degree-parse-error": Refusal("degree 1,3", "partition", "parts not weakly decreasing"),
+    "resource-guard-degree": Refusal("degree 3,2,1 --max-n 5", "--max-n", "exceeds the limit 5"),
+    "resource-guard-degree-exponent": Refusal("degree 1^100000000000000000", "partition",
+                                              "exceeds the limit 60"),
+    "resource-guard-branch": Refusal("branch 3,2,1 --max-n 5", "--max-n", "exceeds the limit 5"),
+    "resource-guard-branch-exponent": Refusal("branch 1^100000000000000000", "partition",
+                                              "exceeds the limit 60"),
+    "degree-format": Refusal("degree 3,1 --format csv", "--format", "invalid choice: 'csv'"),
+    "branch-format": Refusal("branch 3,1 --format dot", "--format", "invalid choice: 'dot'"),
+    # spectrum
+    "threads-below-one-0": Refusal("spectrum --n 5 --threads 0", "--threads",
+                                   "--threads must be at least 1"),
+    "threads-below-one--1": Refusal("spectrum --n 5 --threads -1", "--threads",
+                                    "--threads must be at least 1"),
+    "resource-guard-spectrum": Refusal("spectrum --n 25 --max-n 20", "--max-n",
+                                       "n=25 exceeds the resource guard --max-n 20"),
+    "spectrum-n-1e12": Refusal("spectrum --n 1000000000000", "--n",
+                               "exceeds the resource guard --max-n 60"),
+    "spectrum-empty-cache-dir": Refusal("spectrum --n 41 --cache-dir ''", "--cache-dir",
+                                        "--cache-dir names no directory"),
+    "spectrum-group": Refusal("spectrum --n 5 --group x", "--group", "invalid choice: 'x'"),
+    "spectrum-format": Refusal("spectrum --n 5 --format dot", "--format", "invalid choice: 'dot'"),
+    # graph
+    "graph-n-1e12": Refusal("graph --n 1000000000000", "--n",
+                            "exceeds the resource guard --max-n 60"),
+    "graph-max-n": Refusal("graph --n 13 --max-n 12", "--max-n",
+                           "n=13 exceeds the resource guard --max-n 12"),
+    "graph-format": Refusal("graph --n 4 --format csv", "--format", "invalid choice: 'csv'"),
+    # verify: the span, the checks, the store's ceiling, one process
+    "missing-n-and-range": Refusal("verify --checks sandwich", "--n",
+                                   "one of --n or --range is required"),
+    "n-with-range": Refusal("verify --n 5 --range 7..8 --checks sandwich", "--range",
+                            "not allowed with argument --n"),
+    "bad-range-9..3": Refusal("verify --range 9..3 --checks sandwich", "--range",
+                              "must be positive and ordered"),
+    "bad-range-5-9": Refusal("verify --range 5-9 --checks sandwich", "--range", "bad range '5-9'"),
+    "bad-range-a..9": Refusal("verify --range a..9 --checks sandwich", "--range",
+                              "bad range 'a..9'"),
+    "verify-range-to-1e12": Refusal("verify --range 5..1000000000000 --checks sandwich", "--range",
+                                    "exceeds the resource guard --max-n 60"),
+    "domain-rejection": Refusal("verify --range 3..4 --checks theorem1", "--range",
+                                "stated for n >= 5"),
+    "unknown-check": Refusal("verify --n 7 --checks bogus", "--checks", "unknown check 'bogus'"),
+    "empty-checks-": Refusal("verify --n 7 --checks ''", "--checks", "names no check"),
+    "empty-checks-,": Refusal("verify --n 7 --checks ,", "--checks", "names no check"),
+    "empty-checks- , ": Refusal("verify --n 7 --checks ' , '", "--checks", "names no check"),
+    "verify-store-ceiling-61": Refusal("verify --n 61 --max-n 70 --checks sandwich", "--max-n",
+                                       "above 60"),
+    "verify-store-ceiling-10": Refusal("verify --n 10 --max-n 70 --checks sandwich", "--max-n",
+                                       "above 60"),
+    "verify-threads-2": Refusal("verify --n 5 --checks sandwich --threads 2", "--threads",
+                                "only spectrum starts workers"),
+    "verify-threads-1e9": Refusal("verify --n 5 --checks sandwich --threads 1000000000",
+                                  "--threads", "only spectrum starts workers"),
+    "verify-format": Refusal("verify --n 5 --checks sandwich --format csv", "--format",
+                             "invalid choice: 'csv'"),
+    # one below each check's floor, and below its floor under --override-domain
+    "theorem1-below-floor": Refusal("verify --n 4 --checks theorem1", "--n", "stated for n >= 5"),
+    "theorem1-below-override-floor": Refusal("verify --n 1 --checks theorem1 --override-domain",
+                                             "--n", "stated for n >= 2"),
+    "theorem2-below-floor": Refusal("verify --n 6 --checks theorem2", "--n", "stated for n >= 7"),
+    "theorem2-below-override-floor": Refusal("verify --n 1 --checks theorem2 --override-domain",
+                                             "--n", "stated for n >= 2"),
+    "sandwich-below-floor": Refusal("verify --n 4 --checks sandwich", "--n", "stated for n >= 5"),
+    "sandwich-below-override-floor": Refusal("verify --n 4 --checks sandwich --override-domain",
+                                             "--n", "stated for n >= 5"),
+    "ratio-lemma-below-floor": Refusal("verify --n 0 --checks ratio-lemma", "--n",
+                                       "stated for n >= 1"),
+    "ratio-lemma-below-override-floor": Refusal(
+        "verify --n 0 --checks ratio-lemma --override-domain", "--n", "stated for n >= 1"),
+    "count-lemmas-below-floor": Refusal("verify --n 4 --checks count-lemmas", "--n",
+                                        "stated for n >= 5"),
+    "count-lemmas-below-override-floor": Refusal(
+        "verify --n 4 --checks count-lemmas --override-domain", "--n", "stated for n >= 5"),
+    "move-scan-below-floor": Refusal("verify --n 4 --checks move-scan", "--n",
+                                     "stated for n >= 5"),
+    "move-scan-below-override-floor": Refusal("verify --n 4 --checks move-scan --override-domain",
+                                              "--n", "stated for n >= 5"),
+    "induced-bound-below-floor": Refusal("verify --n 4 --checks induced-bound", "--n",
+                                         "stated for n >= 5"),
+    "induced-bound-below-override-floor": Refusal(
+        "verify --n 4 --checks induced-bound --override-domain", "--n", "stated for n >= 5"),
+    "epsilon-bounds-below-floor": Refusal("verify --n 4 --checks epsilon-bounds", "--n",
+                                          "stated for n >= 5"),
+    "epsilon-bounds-below-override-floor": Refusal(
+        "verify --n 4 --checks epsilon-bounds --override-domain", "--n", "stated for n >= 5"),
+    # scan
+    "scan-below-five": Refusal("scan --n 4 --out x.csv", "--n", "scan starts at n = 5"),
+    "scan-guard": Refusal("scan --n 70 --out x.csv", "--n", "exceeds the resource guard --max-n 60"),
+    "scan-n-1e12": Refusal("scan --n 1000000000000 --out t.csv", "--n",
+                           "exceeds the resource guard --max-n 60"),
+    "scan-store-ceiling-61": Refusal("scan --n 61 --max-n 70 --out x.csv", "--max-n", "above 60"),
+    "scan-store-ceiling-10": Refusal("scan --n 10 --max-n 70 --out x.csv", "--max-n", "above 60"),
+    "scan-empty-out": Refusal("scan --n 5 --out ''", "--out", "--out names no file"),
+    # a flag that a command does not honour is not accepted
+    "degree---threads": Refusal("degree 3,1 --threads 1", "--threads", "unrecognized arguments"),
+    "degree---cache-dir": Refusal("degree 3,1 --cache-dir c", "--cache-dir",
+                                  "unrecognized arguments"),
+    "degree---override-domain": Refusal("degree 3,1 --override-domain", "--override-domain",
+                                        "unrecognized arguments"),
+    "branch---threads": Refusal("branch 3,1 --threads 1", "--threads", "unrecognized arguments"),
+    "branch---cache-dir": Refusal("branch 3,1 --cache-dir c", "--cache-dir",
+                                  "unrecognized arguments"),
+    "branch---override-domain": Refusal("branch 3,1 --override-domain", "--override-domain",
+                                        "unrecognized arguments"),
+    "graph---threads": Refusal("graph --n 4 --threads 1", "--threads", "unrecognized arguments"),
+    "graph---cache-dir": Refusal("graph --n 4 --cache-dir c", "--cache-dir",
+                                 "unrecognized arguments"),
+    "graph---override-domain": Refusal("graph --n 4 --override-domain", "--override-domain",
+                                       "unrecognized arguments"),
+    "spectrum---override-domain": Refusal("spectrum --n 4 --override-domain", "--override-domain",
+                                          "unrecognized arguments"),
+    "verify---cache-dir": Refusal("verify --n 5 --checks sandwich --cache-dir c", "--cache-dir",
+                                  "unrecognized arguments"),
+    "scan---threads": Refusal("scan --n 5 --out t.csv --threads 1", "--threads",
+                              "unrecognized arguments"),
+    "scan---cache-dir": Refusal("scan --n 5 --out t.csv --cache-dir c", "--cache-dir",
+                                "unrecognized arguments"),
+    "scan---override-domain": Refusal(
+        "scan --n 5 --out t.csv --override-domain", "--override-domain", "unrecognized arguments"),
+    "scan---format": Refusal("scan --n 5 --out t.csv --format csv", "--format",
+                             "unrecognized arguments"),
 }

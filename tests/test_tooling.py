@@ -3,8 +3,9 @@ name it wraps, and its checker accepts what the CLI prints.  Every source
 file parses at the oldest Python that pyproject.toml supports, the
 library reads no environment variable, each of its functions and
 classes that no other library code reads is listed with a reason,
-README's flag table lists the flags each command's parser takes, and the
-pin table reaches every command in every format."""
+README's flag table lists the flags each command's parser takes, the
+pin table reaches every command in every format, and the refusal table
+reaches every value a command takes and every check's floors."""
 
 import argparse
 import ast
@@ -21,7 +22,7 @@ import pytest
 
 from chardeg import cli
 
-from pins import PINS
+from pins import PINS, REFUSALS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -265,3 +266,20 @@ def test_pins_reach_every_command_and_format():
     pinned = {(args.command, getattr(args, "fmt", None))
               for args in (parser.parse_args(pin.argv.split()) for pin in PINS.values())}
     assert outputs <= pinned
+
+
+def test_refusals_reach_every_option_and_floor():
+    # every option that takes a value, and each positional, is the refused
+    # option of a row for its command; store_true flags and -h take none
+    refused = {(refusal.argv.split()[0], refusal.option) for refusal in REFUSALS.values()}
+    taken = {
+        (command, a.option_strings[0] if a.option_strings else a.dest)
+        for command, parser in subcommands(cli.build_parser()).items()
+        for a in parser._actions if a.nargs != 0
+    }
+    assert taken - refused == set()
+    # one below each check's floor, and below its floor under --override-domain
+    argvs = {refusal.argv for refusal in REFUSALS.values()}
+    for name, (floor, override_floor, _, _) in cli.CHECKS.items():
+        assert f"verify --n {floor - 1} --checks {name}" in argvs
+        assert f"verify --n {override_floor - 1} --checks {name} --override-domain" in argvs
