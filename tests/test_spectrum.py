@@ -815,6 +815,10 @@ class TestTheorems:
         with pytest.raises(ValueError):
             verify_theorem1(4)
 
+    def test_sweeps(self):
+        assert all(verify_theorem1(n).passed for n in range(5, 31))
+        assert all(verify_theorem2(n).passed for n in range(7, 31))
+
     def test_reports_consistent(self):
         for n in (5, 9, 14):
             assert verify_theorem1(n).consistent()
@@ -831,6 +835,10 @@ class TestSandwich:
         assert rep.passed and "equality=false" in rep.notes
         rep = sandwich_check(7)
         assert rep.passed and "equality=true" in rep.notes
+
+    def test_sweep(self):
+        for n in range(5, 31):
+            assert sandwich_check(n).passed
 
     def test_stated_from_five(self):
         # at n = 3, 2·b(A_3) = b(S_3) = 2, outside the stated bound
@@ -954,6 +962,12 @@ class TestMoveScan:
         assert rep.inequalities == (Inequality("four-split-characters", 8100, ">", 2025),)
         assert rep.witnesses == maximizers
 
+    def test_sweep_statuses(self):
+        for n in range(7, 26):
+            assert move_scan_verify(n, "S").status in (PASS, INCONCLUSIVE)
+        for n in range(5, 26):
+            assert move_scan_verify(n, "A").status in (PASS, INCONCLUSIVE)
+
 
 class TestEpsilonBounds:
     def test_n5(self):
@@ -982,6 +996,10 @@ class TestEpsilonBounds:
         by_label = {q.label: q for q in rep.inequalities}
         q = by_label["a-half-of-symmetric"]
         assert q.left == q.right == Fraction(37, 35)
+
+    def test_sweep(self):
+        for n in range(5, 31):
+            assert epsilon_lower_bounds(n).passed
 
     def test_domain(self):
         with pytest.raises(ValueError):
