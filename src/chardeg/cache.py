@@ -66,10 +66,16 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def store_spectrum(cache_dir: str | Path, spec: DegreeSpectrum) -> Path:
-    """Write ``spec``'s entry; raise ValueError for one load_spectrum rejects."""
+def store_spectrum(
+    cache_dir: str | Path, spec: DegreeSpectrum | tuple[DegreeSpectrum, str]
+) -> Path:
+    """Write ``spec``'s entry; raise ValueError for one load_spectrum rejects.
+    ``spec`` may also be a (spectrum, text) pair, as ``load_spectrum``
+    returns, whose text the caller has rendered with ``spectrum_json``; the
+    entry is then that text, so it is not rendered twice."""
+    spec, text = spec if isinstance(spec, tuple) else (spec, None)
     if not has_built_members(spec):
         raise ValueError(f"{spec.group}_{spec.n} is not a spectrum the cache keeps")
     path = cache_path(cache_dir, spec.group, spec.n)
-    write_atomic(path, spectrum_json(spec))
+    write_atomic(path, spectrum_json(spec) if text is None else text)
     return path

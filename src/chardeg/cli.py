@@ -176,13 +176,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         builder = spectrum_sn if group == "S" else spectrum_an
         spec = builder(args.n, threads=args.threads, max_n=args.max_n)
+        # one render serves the entry and stdout
+        text = spectrum_json(spec) if args.fmt == "json" else None
         if cache_dir:
             try:
-                store_spectrum(cache_dir, spec)
+                store_spectrum(cache_dir, spec if text is None else (spec, text))
             except OSError as exc:
                 print(f"warning: spectrum not cached: {exc}", file=sys.stderr)
-        # rendered after the store's own render is freed, which keeps the peak down
-        text = spectrum_json(spec) if args.fmt == "json" else None
     if args.fmt == "json":
         print(text, end="")
     elif args.fmt == "csv":

@@ -11,11 +11,11 @@ ordered by their earliest vertex in descending lexicographic order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import nlargest
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul, neg, sub
 from typing import Iterable, Iterator
 
 from . import spectrum
@@ -110,14 +110,32 @@ def _class_sizes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     return spec.degrees, spec.sizes, [0, *accumulate(spec.sizes)]
 
 
-def _in_range(degrees: tuple[int, ...], prefix: list[int]) -> list[int]:
-    """in_range[r] = characters with degree strictly between b_r/4 and b_r."""
-    # for integers 4d > b_r exactly when d > b_r // 4, and those degrees are
-    # the ones after b_r // 4 in the ascending column; reversing makes no new
-    # integers, where a negated column raised the peak at n = 40 by ~1 MB
-    ascending = degrees[::-1]
-    return [prefix[len(degrees) - bisect_right(ascending, b_r // 4)] - prefix[r + 1]
-            for r, b_r in enumerate(degrees)]
+def _in_range(degrees: tuple[int, ...], prefix: list[int], r: int) -> int:
+    """The characters with degree strictly between b_r/4 and b_r, for the
+    0-based class r: for integers 4d > b_r exactly when d > b_r // 4, and
+    those degrees come first in the descending column."""
+    return prefix[bisect_left(degrees, -(degrees[r] // 4), key=neg)] - prefix[r + 1]
+
+
+def _near_top_slacks(
+    degrees: tuple[int, ...], sizes: tuple[int, ...], prefix: list[int]
+) -> Iterator[int]:
+    """``_in_range`` less |M_r| − 4·prefix[r] per class r, in order, as one
+    pass: b_r falls with r, so the classes above b_r // 4 only grow, and one
+    index finds them where a bisection per class was slower."""
+    above, classes = 0, len(degrees)
+    for r, (b_r, size, p) in enumerate(zip(degrees, sizes, prefix)):
+        quarter = b_r // 4
+        while above < classes and degrees[above] > quarter:
+            above += 1
+        yield prefix[above] - prefix[r + 1] - (size - 4 * p)
+
+
+def _low_witnesses(n: int, low: dict[int, int], degree: int) -> tuple[Partition, ...]:
+    """The three largest partitions of class ``degree`` with fewer than two
+    move neighbours.  The facts keep only their count, so they come from a
+    walk of their own, run only when that count is not 0."""
+    return tuple(spectrum.low_witnesses(n, degree)) if low.get(degree) else ()
 
 
 def low_degree_count_check(n: int, r: int) -> VerificationReport:
@@ -127,17 +145,17 @@ def low_degree_count_check(n: int, r: int) -> VerificationReport:
     degrees, sizes, prefix = _class_sizes(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
-    low_counts = [len(low.get(d, ())) for d in degrees]
-    ineqs = [Inequality("low-degree-members", low_counts[r - 1], "<=", 2 * prefix[r - 1])]
+    count = low.get(degrees[r - 1], 0)
+    ineqs = [Inequality("low-degree-members", count, "<=", 2 * prefix[r - 1])]
     if r == 1:
-        ineqs.append(Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0))
+        ineqs.append(Inequality("all-maximizers-have-two-neighbors", count, "==", 0))
     if r == 2 and sizes[0] == 1:
-        ineqs.append(Inequality("second-class-low-degree", low_counts[1], "<=", 2))
+        ineqs.append(Inequality("second-class-low-degree", count, "<=", 2))
     return VerificationReport(
         check="low-degree-count",
         n=n,
         inequalities=tuple(ineqs),
-        witnesses=tuple(nlargest(3, low.get(degrees[r - 1], ()))),
+        witnesses=_low_witnesses(n, low, degrees[r - 1]),
         notes=(f"r={r}", f"|M_r|={sizes[r - 1]}"),
     )
 
@@ -148,10 +166,8 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
     degrees, sizes, prefix = _class_sizes(n)
     if not 1 <= r <= len(degrees):
         raise ValueError(f"class index {r} out of range 1..{len(degrees)}")
-    in_range = _in_range(degrees, prefix)
-    ineq = Inequality(
-        "near-top-characters", in_range[r - 1], ">=", sizes[r - 1] - 4 * prefix[r - 1]
-    )
+    ineq = Inequality("near-top-characters", _in_range(degrees, prefix, r - 1), ">=",
+                      sizes[r - 1] - 4 * prefix[r - 1])
     return VerificationReport(
         check="near-max-count",
         n=n,
@@ -160,12 +176,18 @@ def near_max_count_check(n: int, r: int) -> VerificationReport:
     )
 
 
-def _tightest(slack: list[int]) -> tuple[int, list[str]]:
-    """The 1-based class where a counting bound is tightest, given its slack
-    per class (negative where the bound fails), and the report's notes: the
-    class count and the first ten classes that violate it."""
-    violating = [f"violating r={r}" for r, gap in enumerate(slack, 1) if gap < 0]
-    return slack.index(min(slack)) + 1, [f"classes={len(slack)}", *violating[:10]]
+def _tightest(slacks: Iterable[int]) -> tuple[int, list[str]]:
+    """The 1-based class where a counting bound is tightest, the first of
+    least slack, given the slack per class in order (negative where the
+    bound fails), and the report's notes: the class count and the first ten
+    classes that violate it.  One pass, holding no slack but the least."""
+    tightest, least, violating = 0, None, []
+    for r, gap in enumerate(slacks, 1):
+        if least is None or gap < least:
+            tightest, least = r, gap
+        if gap < 0 and len(violating) < 10:
+            violating.append(f"violating r={r}")
+    return tightest, [f"classes={r}", *violating]
 
 
 def low_degree_count_check_all(n: int) -> VerificationReport:
@@ -174,19 +196,19 @@ def low_degree_count_check_all(n: int) -> VerificationReport:
     does."""
     low = spectrum.move_facts(n).low  # first, so a cold store is walked once
     degrees, sizes, prefix = _class_sizes(n)
-    low_counts = [len(low.get(d, ())) for d in degrees]
-    r, notes = _tightest([2 * p - k for p, k in zip(prefix, low_counts)])
+    r, notes = _tightest(map(sub, map(mul, prefix, repeat(2)), map(low.get, degrees, repeat(0))))
     ineqs = [
-        Inequality(f"low-degree-members[r={r}]", low_counts[r - 1], "<=", 2 * prefix[r - 1]),
-        Inequality("all-maximizers-have-two-neighbors", low_counts[0], "==", 0),
+        Inequality(f"low-degree-members[r={r}]", low.get(degrees[r - 1], 0), "<=",
+                   2 * prefix[r - 1]),
+        Inequality("all-maximizers-have-two-neighbors", low.get(degrees[0], 0), "==", 0),
     ]
     if sizes[0] == 1 and len(degrees) >= 2:
-        ineqs.append(Inequality("second-class-low-degree", low_counts[1], "<=", 2))
+        ineqs.append(Inequality("second-class-low-degree", low.get(degrees[1], 0), "<=", 2))
     return VerificationReport(
         check="low-degree-count",
         n=n,
         inequalities=tuple(ineqs),
-        witnesses=tuple(nlargest(3, low.get(degrees[r - 1], ()))),
+        witnesses=_low_witnesses(n, low, degrees[r - 1]),
         notes=tuple(notes),
     )
 
@@ -196,11 +218,9 @@ def near_max_count_check_all(n: int) -> VerificationReport:
     inequality is the tightest class, so it holds exactly when every class
     does."""
     degrees, sizes, prefix = _class_sizes(n)
-    in_range = _in_range(degrees, prefix)
-    r, notes = _tightest([k - (size - 4 * p) for k, size, p in zip(in_range, sizes, prefix)])
-    ineq = Inequality(
-        f"near-top-characters[r={r}]", in_range[r - 1], ">=", sizes[r - 1] - 4 * prefix[r - 1]
-    )
+    r, notes = _tightest(_near_top_slacks(degrees, sizes, prefix))
+    ineq = Inequality(f"near-top-characters[r={r}]", _in_range(degrees, prefix, r - 1), ">=",
+                      sizes[r - 1] - 4 * prefix[r - 1])
     return VerificationReport(
         check="near-max-count",
         n=n,

@@ -17,6 +17,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import nlargest
 from itertools import chain, repeat
 from math import factorial, prod
 from operator import add, mul, neg
@@ -191,13 +192,20 @@ class MoveFacts:
     into the store's walk: how many partitions have both moves; those among
     them whose ratio H(λ_dn)·H(λ_up)/H(λ)² lies outside (1, 4), with that
     ratio, in descending order of their conjugate-pair representative, λ
-    before λ′; and per degree the partitions with fewer than two move
-    neighbours.  Conjugation swaps λ_up and λ_dn, so λ′ has as many move
-    neighbours as λ and the same ratio."""
+    before λ′; and per degree how many partitions have fewer than two move
+    neighbours, counts only, λ and λ′ each and a self-conjugate λ once.
+    Conjugation swaps λ_up and λ_dn, so λ′ has as many move neighbours as λ
+    and the same ratio.
+
+    ``witness_degree`` is None in the store.  ``low_witnesses`` sets it on
+    a walk of its own, which then also lists in ``witnesses`` the
+    partitions of that degree with fewer than two move neighbours."""
 
     interior: int = 0
     violations: list[tuple[Partition, Fraction]] = field(default_factory=list)
-    low: dict[int, list[Partition]] = field(default_factory=dict)
+    low: dict[int, int] = field(default_factory=dict)
+    witness_degree: int | None = None
+    witnesses: list[Partition] = field(default_factory=list)
 
 
 def _pair_shard(
@@ -221,8 +229,9 @@ def _pair_shard(
     kept members are λ, λ′ in turn, and the self-conjugate leaves as
     (degree, λ); ``_spectrum`` reads S_n or A_n from the two.  The pairs
     keep every member with ``all_members``, else only those of the two
-    largest degrees.  λ and λ′ are built only on a tie, or where the classes
-    or ``facts``, into which both are folded, keep them.
+    largest degrees.  ``facts`` count λ and λ′ at no cost in tuples; λ and
+    λ′ are built only on a tie, or where the classes keep them or ``facts``
+    list them, as a violation or a witness.
     """
     fact = [1]
     for k in range(1, n + 2):
@@ -252,7 +261,7 @@ def _pair_shard(
             if lam < conj:
                 continue
         split = lam is not None and lam == conj
-        kept = low = ratio = None
+        kept = witnesses = ratio = None
         if split:
             selfconj.append((d, lam))
         else:
@@ -264,15 +273,17 @@ def _pair_shard(
                 if not bottom < top < 4 * bottom:
                     ratio = Fraction(top, bottom)
             else:
-                low = facts.low.setdefault(d, [])
-        if kept is not None or low is not None or ratio is not None:
+                facts.low[d] = facts.low.get(d, 0) + 2 - split
+                if d == facts.witness_degree:
+                    witnesses = facts.witnesses
+        if kept is not None or witnesses is not None or ratio is not None:
             if lam is None:
                 lam, conj = (f,) + mu, tuple(map(add, q, steps)) + (1,) * (f - width)
             pair = (lam,) if split else (lam, conj)
             if kept is not None:
                 kept += pair
-            if low is not None:
-                low += pair
+            if witnesses is not None:
+                witnesses += pair
             if ratio is not None:
                 violations.append((lam, pair, ratio))
         lo = max(width, 2)
@@ -446,7 +457,7 @@ def _current(n: int, facts: bool = False) -> _Store:
     representatives, in ``gc_paused``, unless it already holds n, with its
     move facts when ``facts``.  A verdict read from the facts covers every
     partition of n only if they do, so facts whose two-neighbour partitions
-    and low-degree members do not add up to p(n) raise ArithmeticError, and
+    and low-degree counts do not add up to p(n) raise ArithmeticError, and
     the store is left empty."""
     global _store
     held = _store if _store is not None and _store[0] == n else None
@@ -457,7 +468,7 @@ def _current(n: int, facts: bool = False) -> _Store:
         with gc_paused():
             classes = _pair_shard(n, range((n + 1) // 2), False, moves)
         if moves is not None:
-            covered = moves.interior + sum(map(len, moves.low.values()))
+            covered = moves.interior + sum(moves.low.values())
             if covered != count_partitions(n):
                 raise ArithmeticError(
                     f"move facts of {n} cover {covered} of {count_partitions(n)} partitions"
@@ -473,6 +484,18 @@ def move_facts(n: int) -> MoveFacts:
     or for the facts of an n whose spectra were built without them,
     rebuilds."""
     return _current(n, facts=True)[1]
+
+
+def low_witnesses(n: int, degree: int) -> list[Partition]:
+    """The three largest partitions of n of S_n degree ``degree`` with fewer
+    than two move neighbours, descending.  The store keeps only their count,
+    so they come from a walk of their own, in ``gc_paused``, which leaves
+    the store as it was; count-lemmas asks only for the class it reports,
+    and only when the facts count a member there."""
+    facts = MoveFacts(witness_degree=degree)
+    with gc_paused():
+        _pair_shard(n, range((n + 1) // 2), False, facts)
+    return nlargest(3, facts.witnesses)
 
 
 def cached_spectrum(group: str, n: int) -> DegreeSpectrum:

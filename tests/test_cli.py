@@ -852,6 +852,23 @@ class TestCacheAtTheMemberCap:
                                "--format", fmt, "--cache-dir", str(tmp_path))
             assert code == 0 and md5(out) == md5(expected), (group, fmt)
 
+    def test_cold_json_renders_once(self, capsys, tmp_path, monkeypatch):
+        # a cold run writes the text it prints to the entry, so it renders
+        # the spectrum once where it rendered it for each
+        renders = []
+
+        def counted(spec):
+            renders.append(spec.n)
+            return spectrum_json(spec)
+
+        monkeypatch.setattr(cli, "spectrum_json", counted)
+        monkeypatch.setattr(cache, "spectrum_json", counted)
+        code, out, err = run(capsys, "spectrum", "--n", "41", "--format", "json",
+                             "--cache-dir", str(tmp_path))
+        assert code == 0 and not err and renders == [41]
+        assert md5(out) == PINS["s41-json"].md5
+        assert md5(cache_path(tmp_path, "S", 41).read_text()) == md5(out)
+
     @pytest.mark.parametrize("build", [spectrum_sn, spectrum_an])
     def test_round_trip_of_built_entries(self, tmp_path, build):
         for n in range(41, 46):
@@ -1005,6 +1022,42 @@ class TestVerifyCmd:
         assert [(n, facts) for n, *_, facts in walks] == [(n, True) for n in range(5, 13)]
         assert store[1] is not None
 
+    def test_a_fail_with_low_members_walks_once_for_its_witnesses(self, capsys, monkeypatch):
+        # made-up prefixes of 0 fail every class with a low member; the
+        # reported class, the first of the most low members, has some, so
+        # one more walk of n lists them, and the store keeps its own facts
+        walks = []
+        real_walk = spectrum._pair_shard
+        real_sizes = graph._class_sizes
+
+        def walk(n, ones, all_members, facts=None):
+            walks.append(facts.witness_degree)  # every walk here folds in facts
+            return real_walk(n, ones, all_members, facts)
+
+        def no_characters_above(n):
+            degrees, sizes, prefix = real_sizes(n)
+            return degrees, sizes, [0] * len(prefix)
+
+        monkeypatch.setattr(spectrum, "_pair_shard", walk)
+        monkeypatch.setattr(graph, "_class_sizes", no_characters_above)
+        spectrum.clear_spectrum_cache()
+        try:
+            code, out, _ = run(capsys, "verify", "--n", "8", "--checks", "count-lemmas",
+                               "--format", "json")
+            facts = spectrum._store[1]
+        finally:
+            spectrum.clear_spectrum_cache()
+        low = [lam for lam in enumerate_partitions(8) if len(graph.neighbors(lam)) < 2]
+        counts = Counter(map(degree_sn, low))
+        degree = max(counts, key=lambda d: (counts[d], d))
+        report = json.loads(out)["reports"][0]
+        assert code == 1 and report["status"] == "fail"
+        assert walks == [None, degree]
+        assert report["witnesses"] == [format_partition(lam) for lam in sorted(
+            (lam for lam in low if degree_sn(lam) == degree), reverse=True)[:3]]
+        assert facts.witness_degree is None and facts.witnesses == []
+        assert facts.low == counts
+
     def test_store_holds_only_the_last_n(self, capsys, monkeypatch):
         spectrum.clear_spectrum_cache()
         code, _, _ = run(capsys, "verify", "--range", "5..8", "--checks", "all")
@@ -1012,9 +1065,9 @@ class TestVerifyCmd:
         n, facts, spectra, move_degrees = spectrum._store
         assert n == 8
         assert move_degrees and {sum(lam) for lam in move_degrees} == {8}
-        low = [lam for members in facts.low.values() for lam in members]
-        assert {sum(lam) for lam in low} == {8}
-        assert facts.interior + len(low) == count_partitions(8)
+        assert facts.low == Counter(degree_sn(lam) for lam in enumerate_partitions(8)
+                                    if len(graph.neighbors(lam)) < 2)
+        assert facts.interior + sum(facts.low.values()) == count_partitions(8)
         assert sorted(spectra) == ["A", "S"]
         assert {spec.n for spec in spectra.values()} == {8}
         # an earlier n is rebuilt on demand, with the top-two members that a

@@ -1,6 +1,8 @@
 """Move-graph structure, path decomposition, and the counting checks."""
 
+from collections import Counter
 from fractions import Fraction
+from heapq import nlargest
 
 import pytest
 
@@ -146,18 +148,15 @@ class TestRatioLemma:
             assert ratio_lemma_check(n).passed
 
     def test_facts_equal_build_graph(self):
-        # the pass counts the interior vertices of the move paths and records
-        # their ends, grouped by degree
+        # the pass counts the interior vertices of the move paths, and their
+        # ends per degree
         for n in range(1, 26):
             facts = spectrum.move_facts(n)
             components = build_graph(n).components
             assert facts.interior == sum(max(len(c) - 2, 0) for c in components), n
-            ends = {}
-            for c in components:
-                for lam in dict.fromkeys((c[0], c[-1])):
-                    ends.setdefault(degree_sn(lam), []).append(lam)
-            assert {d: sorted(v) for d, v in facts.low.items()} == \
-                {d: sorted(v) for d, v in ends.items()}, n
+            ends = Counter(degree_sn(lam) for c in components
+                           for lam in dict.fromkeys((c[0], c[-1])))
+            assert facts.low == ends, n
 
     def test_hook_form_ratio(self, monkeypatch):
         # the walk computes the ratio at each representative with both moves
@@ -198,7 +197,7 @@ class TestRatioLemma:
             classes = real(n, ones, all_members, facts)
             if facts is not None:
                 if dropped == "low":
-                    facts.low[min(facts.low)].pop()
+                    facts.low[min(facts.low)] -= 1
                 else:
                     facts.interior -= 1
             return classes
@@ -247,7 +246,9 @@ class TestCountChecks:
                             lambda n: ([100, 60, 10, 1], [1, 1, 20, 3], [0, 1, 2, 22, 25]))
         low = {60: [(6, 3), (7, 2), (5, 4)],
                10: [(4, 4, 1), (3, 3, 3), (5, 2, 2), (4, 3, 2), (3, 3, 2, 1)]}
-        monkeypatch.setattr(spectrum, "move_facts", lambda n: MoveFacts(low=low))
+        monkeypatch.setattr(spectrum, "move_facts",
+                            lambda n: MoveFacts(low={d: len(v) for d, v in low.items()}))
+        monkeypatch.setattr(spectrum, "low_witnesses", lambda n, d: nlargest(3, low[d]))
         rep = low_degree_count_check_all(9)
         assert rep.status == FAIL and rep.consistent()
         q = rep.inequalities[0]
@@ -274,14 +275,29 @@ class TestCountChecks:
             walked.clear()
 
     def test_low_members_are_keyed_by_class_degree(self):
-        # every degree the walk files a low member under is an S_n class
+        # every degree the walk counts a low member under is an S_n class
         # degree, so the per-class counts take in every such member
         for n in range(5, 31):
             low = spectrum.move_facts(n).low
             degrees = spectrum.cached_spectrum("S", n).degrees
             assert set(low) <= set(degrees), n
-            counts = [len(low.get(d, ())) for d in degrees]
-            assert sum(counts) == sum(len(neighbors(lam)) < 2 for lam in enumerate_partitions(n))
+            assert low == Counter(degree_sn(lam) for lam in enumerate_partitions(n)
+                                  if len(neighbors(lam)) < 2), n
+
+    def test_witnesses_against_the_partitions_of_n(self):
+        # the witness walk lists the three largest low members of a degree,
+        # for every S_n degree that has one, and leaves the store alone
+        spectrum.clear_spectrum_cache()
+        for n in range(1, 13):
+            store = spectrum._store
+            low = {}
+            for lam in enumerate_partitions(n):
+                if len(neighbors(lam)) < 2:
+                    low.setdefault(degree_sn(lam), []).append(lam)
+            for d, members in low.items():
+                assert spectrum.low_witnesses(n, d) == nlargest(3, members), (n, d)
+            assert spectrum._store is store
+            spectrum.move_facts(n)
 
     def test_near_max_records_the_smallest_slack(self, monkeypatch):
         # only class 3 (degree 10, 20 characters) fails: no character lies
